@@ -218,7 +218,7 @@ def load_graph_source(source: str) -> Graph:
     if source.startswith("gen:"):
         return generate(source[4:])
     path = source[5:] if source.startswith("file:") else source
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         return load_edge_list(fh)
 
 

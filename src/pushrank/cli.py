@@ -38,7 +38,7 @@ from .estimators import (
     compute_threshold,
     default_groups,
 )
-from .graph import check_invariants, dump_edge_list, generate, load_edge_list
+from .graph import check_invariants, dump_edge_list, generate
 from .oracle import build_tables, write_csv
 from .sampling import RngStream
 
@@ -68,8 +68,7 @@ def _load(graph: str | None, gen: str | None):
         raise ValidationError("exactly one of --graph or --gen is required")
     if gen is not None:
         return generate(gen)
-    with open(graph, "r", encoding="utf-8") as fh:
-        return load_edge_list(fh)
+    return load_graph_source(f"file:{graph}")
 
 
 @click.group()
@@ -252,8 +251,7 @@ def gen(genspec, out):
 @_exit_codes
 def validate(graph):
     """Check a graph file against the structural invariants."""
-    with open(graph, "r", encoding="utf-8") as fh:
-        g = load_edge_list(fh)
+    g = load_graph_source(f"file:{graph}")
     check_invariants(g)
     stats = g.stats()
     click.echo(f"nodes       {g.node_count}")

@@ -13,9 +13,9 @@ degree 0 is a hard error rather than being silently patched.
 """
 from __future__ import annotations
 
-import io
 import logging
 import math
+import re
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -156,86 +156,211 @@ def _build_csr(
 
     ``src``/``dst`` must already exclude self-loops; duplicates are
     collapsed here.  Raises if any of the n nodes ends with degree 0.
+
+    Edges are handled as combined keys ``u * n + v`` (n^2 must fit in
+    int64): sorting those keys orders pairs by (u, v), so one value sort
+    both finds duplicates and lays out every adjacency list ascending.
     """
     if n < 1 or src.size == 0:
         raise ValidationError("empty graph: no edges after cleaning")
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    und = np.unique(lo * np.int64(n) + hi)
-    lo = und // n
-    hi = und % n
-    all_src = np.concatenate([lo, hi])
-    all_dst = np.concatenate([hi, lo])
-    order = np.lexsort((all_dst, all_src))
-    degrees = np.bincount(all_src, minlength=n)
+    n64 = np.int64(n)
+    und = np.minimum(src, dst) * n64 + np.maximum(src, dst)
+    und.sort()
+    und = und[_run_heads(und)]
+    lo, hi = np.divmod(und, n64)
+    half = np.concatenate([und, hi * n64 + lo])
+    del und, lo, hi
+    half.sort()
+    owner, neighbors = np.divmod(half, n64)
+    del half
+    degrees = np.bincount(owner, minlength=n)
     isolated = np.flatnonzero(degrees == 0)
     if isolated.size:
         labels = isolated if original_ids is None else np.asarray(original_ids)[isolated]
         raise ValidationError(f"isolated node(s) with degree 0: {labels[:8].tolist()}")
     offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
-    return Graph(offsets, all_dst[order], original_ids, self_loops_dropped)
+    return Graph(offsets, neighbors, original_ids, self_loops_dropped)
 
 
-def load_edge_list(source: IO[str] | IO[bytes] | str | bytes | Iterable[str]) -> Graph:
+def _run_heads(sorted_values: np.ndarray) -> np.ndarray:
+    """Mask of the first element of each run of equal values."""
+    head = np.empty(sorted_values.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(sorted_values[1:], sorted_values[:-1], out=head[1:])
+    return head
+
+
+# Edge-list grammar: lines end at LF; ASCII whitespace (space, \t, \r, \v,
+# \f) separates tokens; a line whose first token starts with '#' or '%' is a
+# comment; every other nonblank line holds two ids of ASCII digits < 2^63.
+_COMMENT_LEADS = (ord("#"), ord("%"))
+_SIGNED_DIGITS = re.compile(rb"-?[0-9]+")
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def load_edge_list(source: IO[str] | IO[bytes] | str | bytes | Iterable[str | bytes]) -> Graph:
     """Parse a SNAP-style edge list into a Graph.
 
-    Lines starting with '#' or '%' are comments; data lines hold exactly
-    two whitespace-separated nonnegative integer ids.  Ids are remapped
-    densely to 0..n-1 in first-appearance order; duplicate edges collapse,
-    self-loops are dropped (counted on the result), and a node left with
-    degree 0 is a validation error naming its original id.
+    ``source`` is the text itself (``str`` or UTF-8 ``bytes``), an open
+    text or binary handle, or an iterable whose items are lines.  Lines
+    whose first non-blank character is '#' or '%' are comments; data lines
+    hold exactly two whitespace-separated ids made of ASCII digits, each
+    below 2^63.  Ids are remapped densely to 0..n-1 in first-appearance
+    order; duplicate edges collapse, self-loops are dropped (counted on
+    the result), and a node left with degree 0 is a validation error
+    naming its original id.  A malformed line raises ParseError naming
+    the first offending line.
     """
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        source = io.StringIO(source)
-
-    id_map: dict[int, int] = {}
-    us: list[int] = []
-    vs: list[int] = []
-    loops = 0
-    for lineno, raw in enumerate(source, start=1):
-        if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected two node ids, got {len(parts)} tokens", lineno)
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer node id in {parts!r}", lineno) from None
-        if a < 0 or b < 0:
-            raise ParseError(f"negative node id in {parts!r}", lineno)
-        ua = id_map.setdefault(a, len(id_map))
-        ub = id_map.setdefault(b, len(id_map))
-        if ua == ub:
-            loops += 1
-            continue
-        us.append(ua)
-        vs.append(ub)
-
-    if not id_map:
+    ids = _parse_ids(_read_bytes(source))
+    if ids.size == 0:
         raise ValidationError("empty graph: no data lines")
+    dense, original = _first_appearance(ids)
+    del ids
+    n = original.size
+    src, dst = dense[0::2], dense[1::2]
+    loop = src == dst
+    loops = int(np.count_nonzero(loop))
     if loops:
         logger.warning("dropped %d self-loop(s) while loading edge list", loops)
-    n = len(id_map)
-    original = np.empty(n, dtype=np.int64)
-    for label, dense in id_map.items():
-        original[dense] = label
-    src = np.asarray(us, dtype=np.int64)
-    dst = np.asarray(vs, dtype=np.int64)
+        src, dst = src[~loop], dst[~loop]
+    del dense, loop
     if src.size == 0:
         raise ValidationError("empty graph: all edges were self-loops")
-    degrees = np.bincount(np.concatenate([src, dst]), minlength=n)
+    degrees = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     dead = np.flatnonzero(degrees == 0)
     if dead.size:
         raise ValidationError(
             f"isolated node(s) after cleaning, original id(s): {original[dead][:8].tolist()}"
         )
     return _build_csr(n, src, dst, original, loops)
+
+
+def _read_bytes(source) -> bytes:
+    """The whole input as bytes ending in a newline."""
+    if isinstance(source, str):
+        data = source.encode("utf-8")
+    elif isinstance(source, bytes):
+        data = source
+    elif hasattr(source, "read"):
+        data = source.read()
+        if isinstance(data, str):
+            data = data.encode("utf-8")
+    else:
+        lines = (line.encode("utf-8") if isinstance(line, str) else line for line in source)
+        data = b"".join(line if line.endswith(b"\n") else line + b"\n" for line in lines)
+    return data if data.endswith(b"\n") else data + b"\n"
+
+
+def _parse_ids(data: bytes) -> np.ndarray:
+    """Ids of every data line, in file order (two per line), as int64.
+
+    Raises ParseError for the first line that is not valid UTF-8, has a
+    token count other than two, has a token that is not ASCII digits, or
+    holds an id of 2^63 or more.
+    """
+    text, nl, data_line, bad = _scan_lines(data)
+    stop = int(np.argmax(bad)) if bad.any() else nl.size  # first malformed line
+    undecodable = None
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start)
+            if line <= stop:
+                stop = line
+                undecodable = ParseError(f"invalid UTF-8 ({exc.reason})", line + 1)
+    # a too-large id before that line is the first error
+    ids = np.empty(0, dtype=np.int64)
+    if data_line[:stop].any():  # fromstring reads blank text as [0]
+        ids = np.fromstring(text[: int(nl[stop - 1]) + 1], dtype=np.int64, sep=" ")
+    del text
+    big = np.flatnonzero(ids == _INT64_MAX)  # fromstring clamps larger ids to this
+    # every data line before ``stop`` holds two ids, so id i sits on data line i // 2
+    for line in np.flatnonzero(data_line[:stop])[big // 2].tolist():
+        if any(int(tok) > _INT64_MAX for tok in _line_text(data, nl, line).split()):
+            raise _line_error(data, nl, line)
+    if undecodable is not None:
+        raise undecodable
+    if stop < nl.size:
+        raise _line_error(data, nl, stop)
+    return ids
+
+
+def _scan_lines(data: bytes) -> tuple[bytes, np.ndarray, np.ndarray, np.ndarray]:
+    """The text with comment lines blanked, and per line (0-based): its
+    newline offset, whether it is a data line, and whether it is a
+    malformed data line."""
+    buf = np.frombuffer(data, dtype=np.uint8)
+    word = (buf != 32) & ((buf - np.uint8(9)) > 4)  # not ASCII whitespace
+    starts = np.flatnonzero(word[1:] > word[:-1]) + 1
+    if word[0]:
+        starts = np.concatenate([[0], starts])
+    odd = word & ((buf - np.uint8(48)) > 9)  # token bytes that are not digits
+    del word
+    nl = np.flatnonzero(buf == 10)
+    after = np.searchsorted(starts, nl)  # tokens on lines 0..j
+    first = np.concatenate([[0], after[:-1]])
+    count = after - first
+    lead = buf[np.append(starts, 0)[first]]  # blank lines read a stand-in
+    data_line = (count > 0) & ~np.isin(lead, _COMMENT_LEADS)
+    bad = data_line & (count != 2)
+    comment = np.flatnonzero((count > 0) & ~data_line)
+    del first, count, lead
+    if comment.size:
+        # bytes of comment lines, newlines excluded
+        mark = np.zeros(buf.size, dtype=np.int8)
+        mark[np.where(comment > 0, nl[comment - 1] + 1, 0)] = 1
+        mark[nl[comment]] = -1
+        in_comment = np.cumsum(mark, dtype=np.int8).view(bool)
+        del mark
+        odd &= ~in_comment
+        cleaned = buf.copy()
+        cleaned[in_comment] = ord(" ")
+        del in_comment
+        data = cleaned.tobytes()
+    odd_at = np.flatnonzero(odd)
+    del odd
+    if odd_at.size:
+        odd_line = np.searchsorted(after, np.searchsorted(starts, odd_at, "right") - 1, "right")
+        bad[odd_line] = True
+    return data, nl, data_line, bad
+
+
+def _first_appearance(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids numbering the distinct labels in ``ids`` by first
+    appearance, and the labels in that order."""
+    order = np.argsort(ids)
+    ranked = ids[order]
+    head = _run_heads(ranked)
+    runs = np.flatnonzero(head)
+    labels = ranked[runs]
+    del ranked
+    # equal labels may sit in any order within a run: take its least position
+    first_seen = np.argsort(np.minimum.reduceat(order, runs))
+    dense_of_run = np.empty(labels.size, dtype=np.int64)
+    dense_of_run[first_seen] = np.arange(labels.size)
+    dense = np.empty(ids.size, dtype=np.int64)
+    dense[order] = dense_of_run[np.cumsum(head) - 1]
+    return dense, labels[first_seen]
+
+
+def _line_text(data: bytes, nl: np.ndarray, line: int) -> bytes:
+    return data[int(nl[line - 1]) + 1 if line else 0 : int(nl[line])]
+
+
+def _line_error(data: bytes, nl: np.ndarray, line: int) -> ParseError:
+    """The ParseError for malformed data line ``line`` (0-based)."""
+    tokens = _line_text(data, nl, line).split()
+    parts = [tok.decode("utf-8") for tok in tokens]
+    if len(tokens) != 2:
+        message = f"expected two node ids, got {len(tokens)} tokens"
+    elif not all(_SIGNED_DIGITS.fullmatch(tok) for tok in tokens):
+        message = f"non-integer node id in {parts!r}"
+    elif any(tok.startswith(b"-") for tok in tokens):
+        message = f"negative node id in {parts!r}"
+    else:
+        message = f"node id not below 2^63 in {parts!r}"
+    return ParseError(message, line + 1)
 
 
 def dump_edge_list(g: Graph, out: IO[str]) -> None:

@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import IO
+from typing import IO, TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import CapacityError, ValidationError
 from .graph import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 __all__ = [
     "OracleTables",
@@ -64,6 +66,8 @@ def truncation_levels(n: int, alpha: float, c: float) -> int:
 
 
 def _adjacency(g: Graph) -> sp.csr_matrix:
+    import scipy.sparse as sp  # deferred: it about doubles the CLI start-up, and only this needs it
+
     n = g.node_count
     src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
     data = np.ones(g.neighbors.shape[0], dtype=np.float64)

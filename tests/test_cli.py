@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -173,3 +175,22 @@ class TestGenValidate:
     def test_missing_file_is_io_error(self, runner, tmp_path):
         res = runner.invoke(main, ["validate", "--graph", str(tmp_path / "nope.txt")])
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("content, line", [
+        (b"0 1\n1 2\n99999999999999999999 0\n", 3),
+        (b"0 1\n\xff\xfe 2\n", 2),
+        (b"# caf\xe9\n0 1\n", 1),
+    ])
+    def test_bad_edge_list_is_parse_error(self, runner, tmp_path, content, line):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(content)
+        for args in (["validate", "--graph", str(path)],
+                     ["query", "--graph", str(path), "--target", "0", "--method", "setpush"]):
+            res = runner.invoke(main, args)
+            assert res.exit_code == 1, res.output
+            assert f"error: line {line}: " in res.output
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import pushrank.cli, sys; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120)

@@ -180,3 +180,247 @@ class TestInvariants:
         buf = io.StringIO()
         pg.dump_edge_list(g, buf)
         assert pg.load_edge_list(buf.getvalue()) == g
+
+
+def _reference_load(source):
+    """The original per-line loader, kept as the reference the vectorized
+    loader is compared against."""
+    if isinstance(source, bytes):
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        source = io.StringIO(source)
+
+    id_map: dict[int, int] = {}
+    us: list[int] = []
+    vs: list[int] = []
+    loops = 0
+    for lineno, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8")
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"expected two node ids, got {len(parts)} tokens", lineno)
+        try:
+            a, b = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ParseError(f"non-integer node id in {parts!r}", lineno) from None
+        if a < 0 or b < 0:
+            raise ParseError(f"negative node id in {parts!r}", lineno)
+        ua = id_map.setdefault(a, len(id_map))
+        ub = id_map.setdefault(b, len(id_map))
+        if ua == ub:
+            loops += 1
+            continue
+        us.append(ua)
+        vs.append(ub)
+
+    if not id_map:
+        raise ValidationError("empty graph: no data lines")
+    n = len(id_map)
+    original = np.empty(n, dtype=np.int64)
+    for label, dense in id_map.items():
+        original[dense] = label
+    src = np.asarray(us, dtype=np.int64)
+    dst = np.asarray(vs, dtype=np.int64)
+    if src.size == 0:
+        raise ValidationError("empty graph: all edges were self-loops")
+    degrees = np.bincount(np.concatenate([src, dst]), minlength=n)
+    dead = np.flatnonzero(degrees == 0)
+    if dead.size:
+        raise ValidationError(
+            f"isolated node(s) after cleaning, original id(s): {original[dead][:8].tolist()}"
+        )
+    return _reference_csr(n, src, dst, original, loops)
+
+
+def _reference_csr(n, src, dst, original_ids=None, self_loops_dropped=0):
+    """The original CSR build (np.unique, then np.lexsort)."""
+    if n < 1 or src.size == 0:
+        raise ValidationError("empty graph: no edges after cleaning")
+    lo = np.minimum(src, dst)
+    hi = np.maximum(src, dst)
+    und = np.unique(lo * np.int64(n) + hi)
+    lo = und // n
+    hi = und % n
+    all_src = np.concatenate([lo, hi])
+    all_dst = np.concatenate([hi, lo])
+    order = np.lexsort((all_dst, all_src))
+    degrees = np.bincount(all_src, minlength=n)
+    isolated = np.flatnonzero(degrees == 0)
+    if isolated.size:
+        labels = isolated if original_ids is None else np.asarray(original_ids)[isolated]
+        raise ValidationError(f"isolated node(s) with degree 0: {labels[:8].tolist()}")
+    offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
+    return pg.Graph(offsets, all_dst[order], original_ids, self_loops_dropped)
+
+
+def _outcome(fn, source):
+    try:
+        g = fn(source)
+    except ValidationError as exc:  # ParseError included
+        return type(exc), str(exc)
+    return (g.offsets.tolist(), g.neighbors.tolist(), g.original_ids.tolist(),
+            g.self_loops_dropped)
+
+
+_WS = st.sampled_from([" ", "  ", "\t", " \t ", "\r", "\x0b", "\x0c"])
+_IDS = st.one_of(
+    st.integers(0, 12),
+    st.sampled_from([2**53 + 1, 2**62 + 1, 2**63 - 1]),
+).map(str)
+
+
+@st.composite
+def _padded_id(draw):
+    token = draw(_IDS)
+    return "0" * draw(st.integers(0, 2)) + token
+
+
+@st.composite
+def _edge_list_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["data"] * 6 + ["comment", "blank", "bad"]))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        if kind == "data":
+            tail = draw(st.sampled_from(["", " ", "\t"]))
+            body = draw(_padded_id()) + draw(_WS) + draw(_padded_id()) + tail
+        elif kind == "comment":
+            text = draw(st.text(alphabet="ab 19\t#%é", max_size=8))
+            body = draw(st.sampled_from("#%")) + text
+        elif kind == "blank":
+            body = draw(st.sampled_from(["", " ", "\t", "\r"]))
+        else:
+            body = draw(st.sampled_from([
+                "7", "1 2 3", "a b", "-1 2", "3 -12", "1 2 # note", "1.5 2", "0x1 2",
+                "1,2", "é 3", "4 5 6 7",
+            ]))
+        lines.append(lead + body)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    text = eol.join(lines)
+    if lines and draw(st.booleans()):
+        text += eol  # otherwise the last line has no newline
+    return text
+
+
+class TestVectorizedLoader:
+    """The vectorized loader against the original per-line loader."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_edge_list_text())
+    def test_matches_reference(self, text):
+        expected = _outcome(_reference_load, text)
+        assert _outcome(pg.load_edge_list, text) == expected
+        assert _outcome(pg.load_edge_list, text.encode("utf-8")) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edge_list_text())
+    def test_every_source_kind(self, text):
+        expected = _outcome(_reference_load, text)
+        lines = list(io.StringIO(text))
+        for source in (
+            io.StringIO(text),
+            io.BytesIO(text.encode("utf-8")),
+            lines,
+            [line.encode("utf-8") for line in lines],
+            [line.rstrip("\n") for line in lines],
+        ):
+            assert _outcome(pg.load_edge_list, source) == expected
+
+    def test_cases_the_reference_agrees_on(self):
+        cases = [
+            "  # indented comment\n\t% tabbed comment\n1 2\n",
+            "1 2\r\n2 3\r\n",
+            "1\t2\n\n   \n2 3",
+            "1 1\n1 2\n2 1\n1 2\n",
+            "5 5\n1 2\n",
+            "3 3\n4 4\n",
+            "",
+            "1 2\n0003 001\n",
+            "1 2\n2 x 3\n",
+            "1 2 # trailing comment\n",
+            "9223372036854775807 1\n",
+        ]
+        for text in cases:
+            assert _outcome(pg.load_edge_list, text) == _outcome(_reference_load, text), text
+
+    def test_isolated_after_cleaning(self):
+        text = "1 2\n7 7\n2 3\n8 8\n"
+        assert _outcome(pg.load_edge_list, text) == _outcome(_reference_load, text)
+        with pytest.raises(ValidationError, match=r"original id\(s\): \[7, 8\]"):
+            pg.load_edge_list(text)
+
+    def test_large_file_matches_reference(self):
+        g = pg.power_law(3000, 2.5, 5)
+        buf = io.StringIO()
+        pg.dump_edge_list(g, buf)
+        text = "% comment\n" + buf.getvalue().replace("\n2 ", "\n  2\t", 40)
+        assert _outcome(pg.load_edge_list, text) == _outcome(_reference_load, text)
+
+
+class TestLoaderEscapes:
+    """Inputs that once escaped as OverflowError or UnicodeDecodeError."""
+
+    @pytest.mark.parametrize("big", ["9223372036854775808", "10000000000000000000",
+                                     "18446744073709551615", "000018446744073709551616",
+                                     "99999999999999999999"])
+    def test_id_not_below_two_to_63(self, big):
+        with pytest.raises(ParseError, match=r"^line 2: node id not below 2\^63"):
+            pg.load_edge_list(f"0 1\n{big} 1\n2 3\n")
+
+    def test_first_offending_line_wins(self):
+        with pytest.raises(ParseError, match="^line 1: node id not below"):
+            pg.load_edge_list("99999999999999999999 1\nfoo 1\n")
+        with pytest.raises(ParseError, match="^line 1: non-integer"):
+            pg.load_edge_list("foo 1\n99999999999999999999 1\n")
+
+    def test_largest_id_accepted(self):
+        g = pg.load_edge_list("9223372036854775807 0\n")
+        assert g.original_ids.tolist() == [2**63 - 1, 0]
+
+    @pytest.mark.parametrize("source", [
+        b"0 1\n1 2\n\xff\xfe 3\n",
+        b"0 1\n1 2\n# caf\xe9\n",
+        io.BytesIO(b"0 1\n1 2\n2 \xc3\n"),
+    ])
+    def test_invalid_utf8(self, source):
+        with pytest.raises(ParseError, match=r"^line 3: invalid UTF-8"):
+            pg.load_edge_list(source)
+
+    def test_utf8_comment_accepted(self):
+        g = pg.load_edge_list("# café\n0 1\n".encode("utf-8"))
+        assert g.edge_count == 1
+
+    @pytest.mark.parametrize("line", ["+3 1", "1 1_0", "\u0663 1", "1\u00a02", "1\x1c2", "-0 1"])
+    def test_ascii_only_grammar(self, line):
+        with pytest.raises(ParseError, match="^line 2: "):
+            pg.load_edge_list(f"0 1\n{line}\n")
+
+
+class TestBuildCsr:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=150),
+    )))
+    def test_matches_lexsort_reference(self, case):
+        n, pairs = case
+        pairs = [(a, b) for a, b in pairs if a != b]
+        src = np.array([a for a, _ in pairs], dtype=np.int64)
+        dst = np.array([b for _, b in pairs], dtype=np.int64)
+        expected = _outcome(lambda _: _reference_csr(n, src, dst), None)
+        assert _outcome(lambda _: pg._build_csr(n, src, dst), None) == expected
+        if isinstance(expected[0], list):
+            g = pg._build_csr(n, src, dst)
+            for u in range(n):
+                assert np.all(np.diff(g.neighbor_list(u)) > 0)
+
+    def test_suite_generators_match_reference(self, suite):
+        for name, g in suite:
+            src = np.repeat(np.arange(g.node_count, dtype=np.int64), g.degrees)
+            ref = _reference_csr(g.node_count, src, g.neighbors)
+            assert np.array_equal(ref.offsets, g.offsets), name
+            assert np.array_equal(ref.neighbors, g.neighbors), name
