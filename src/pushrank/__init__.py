@@ -25,13 +25,7 @@ from .estimators import (
     setpush,
 )
 from .graph import Graph, GraphStats, dump_edge_list, generate, load_edge_list
-from .sampling import (
-    GeometricSampleCursor,
-    RngStream,
-    alpha_walk,
-    geometric_skip_sample,
-    median_of_means,
-)
+from .sampling import RngStream, median_of_means, skip_sample
 
 __version__ = "0.1.0"
 
@@ -55,10 +49,8 @@ __all__ = [
     "dump_edge_list",
     "generate",
     "load_edge_list",
-    "GeometricSampleCursor",
     "RngStream",
-    "alpha_walk",
-    "geometric_skip_sample",
     "median_of_means",
+    "skip_sample",
     "__version__",
 ]

@@ -18,12 +18,11 @@ import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 from typing import IO, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .estimators import ESTIMATORS, Estimate, EstimatorConfig
 from .graph import Graph, generate, load_edge_list
 from .oracle import DENSE_GATE, pagerank
@@ -110,9 +109,17 @@ class ExperimentSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
-        raw = json.loads(text)
-        raw["policy"] = TargetPolicy(**raw["policy"])
-        return cls(**raw)
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"spec is not JSON: {exc.msg}", exc.lineno) from None
+        if not isinstance(raw, dict) or not isinstance(raw.get("policy"), dict):
+            raise ValidationError("spec must be a JSON object with a 'policy' object")
+        try:
+            raw["policy"] = TargetPolicy(**raw["policy"])
+            return cls(**raw)
+        except TypeError as exc:
+            raise ValidationError(f"bad spec: {exc}") from None
 
     def to_json(self) -> str:
         out = asdict(self)
@@ -451,13 +458,3 @@ def write_summary_json(
     }
     json.dump(doc, out, sort_keys=True, indent=2)
     out.write("\n")
-
-
-def write_records(records: Sequence[RunRecord], out_dir: str | Path) -> tuple[Path, Path]:
-    """Convenience: records.csv next to summary.json in out_dir."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "records.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        write_records_csv(records, fh)
-    return csv_path, out_dir / "summary.json"

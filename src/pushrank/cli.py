@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -31,13 +30,7 @@ from .bench import (
     write_summary_json,
 )
 from .errors import ContractViolationError, PushrankError, ValidationError
-from .estimators import (
-    ESTIMATORS,
-    EstimatorConfig,
-    amplified,
-    compute_threshold,
-    default_groups,
-)
+from .estimators import ESTIMATORS, EstimatorConfig, amplified, default_groups
 from .graph import check_invariants, dump_edge_list, generate
 from .oracle import build_tables, write_csv
 from .sampling import RngStream
@@ -116,21 +109,7 @@ def query(graph, genspec, target, method, alpha, c, pf, seed, theta, walks, reps
             raise ValidationError("--groups requires --reps")
         est = fn(g, node, cfg, rng=rng, **extras)
 
-    derived: dict[str, float | int] = {"levels": cfg.levels(g.node_count)}
-    if method == "setpush":
-        derived["theta"] = (
-            theta if theta is not None else compute_threshold(g, node, cfg)
-        )
-    if method == "reverse-mc":
-        derived["walks"] = walks if walks is not None else math.ceil(
-            3.0 * g.degree(node) / (c**2 * alpha)
-        )
-    if method == "forward-mc":
-        derived["walks"] = walks if walks is not None else math.ceil(
-            (2.0 * c / 3.0 + 2.0) * g.node_count / (c**2 * alpha) * math.log(1.0 / pf)
-        )
-    if method == "local-push":
-        derived["epsilon"] = c * alpha / g.node_count
+    derived = {"levels": cfg.levels(g.node_count), **est.derived}
 
     if as_json:
         doc = {
@@ -209,7 +188,12 @@ def bench(spec_path, graph, genspec, method, targets, reps, alpha, c, pf, seed,
             raise ValidationError("--method is required without --spec")
         g = _load(graph, genspec)
         kind, _, count = targets.partition(":")
-        policy = TargetPolicy(kind, int(count or 10), seed)
+        try:
+            policy = TargetPolicy(kind, int(count or 10), seed)
+        except ValueError:
+            raise ValidationError(
+                f"--targets count must be an integer, got {targets!r}"
+            ) from None
         source = f"gen:{genspec}" if genspec is not None else f"file:{graph}"
         spec = ExperimentSpec(
             graph=source,

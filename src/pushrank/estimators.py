@@ -22,22 +22,21 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractViolationError, ValidationError
+from .errors import ConfigError, ValidationError
 from .graph import Graph
 from .oracle import truncation_levels
-from .sampling import RngStream, alpha_walk_batch, median_of_means
+from .sampling import RngStream, alpha_walk_batch, median_of_means, skip_sample
 
 __all__ = [
     "EstimatorConfig",
     "Estimate",
     "ResidueLevel",
     "LocalPushState",
-    "WalkTally",
     "compute_threshold",
     "setpush",
     "reverse_mc",
@@ -69,14 +68,18 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        if self.c <= 0.0:
-            raise ConfigError(f"relative error c must be > 0, got {self.c}")
+        # written so that nan fails too: a nan or infinite threshold would
+        # hand the skip sampler a probability outside (0, 1)
+        if not 0.0 < self.c < math.inf:
+            raise ConfigError(f"relative error c must be finite and > 0, got {self.c}")
         if not 0.0 < self.failure_prob < 1.0:
             raise ConfigError(f"failure_prob must be in (0,1), got {self.failure_prob}")
-        if self.cost_constant <= 0.0:
-            raise ConfigError(f"cost_constant must be > 0, got {self.cost_constant}")
-        if self.threshold_override is not None and self.threshold_override <= 0.0:
-            raise ConfigError("threshold_override must be > 0")
+        if not 0.0 < self.cost_constant < math.inf:
+            raise ConfigError(f"cost_constant must be finite and > 0, got {self.cost_constant}")
+        if self.threshold_override is not None and not 0.0 < self.threshold_override < math.inf:
+            raise ConfigError(
+                f"threshold_override must be finite and > 0, got {self.threshold_override}"
+            )
         if self.levels_override is not None and self.levels_override < 1:
             raise ConfigError("levels_override must be >= 1")
 
@@ -89,13 +92,19 @@ class EstimatorConfig:
 
 @dataclass
 class Estimate:
-    """Scalar estimate plus machine-independent cost counters."""
+    """Scalar estimate plus machine-independent cost counters.
+
+    ``derived`` holds the parameters the estimator derived and used:
+    ``theta`` for setpush, ``walks`` for the Monte-Carlo methods,
+    ``epsilon`` for local_push.
+    """
 
     value: float
     pushes: int = 0
     walk_steps: int = 0
     rng_draws: int = 0
     wall_nanos: int = 0
+    derived: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -125,19 +134,6 @@ class LocalPushState:
     def reserve_entries(self) -> dict[int, float]:
         nz = np.flatnonzero(self.reserve)
         return {int(u): float(self.reserve[u]) for u in nz}
-
-
-@dataclass
-class WalkTally:
-    """Termination counts of a walk batch; values sum to ``walks``."""
-
-    counts: dict[int, int]
-    walks: int
-
-    @classmethod
-    def from_terminals(cls, terminals: np.ndarray, walks: int) -> "WalkTally":
-        nodes, reps = np.unique(terminals, return_counts=True)
-        return cls(dict(zip(nodes.tolist(), reps.tolist())), walks)
 
 
 def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
@@ -234,26 +230,10 @@ def setpush(
 
         samp_nodes = nz[~det]
         if samp_nodes.size:
-            p = prob[~det]
-            log_q = np.log1p(-p)
-            deg_s = deg_nz[~det]
-            offs_s = offsets[samp_nodes]
-            pos = np.zeros(samp_nodes.size, dtype=np.int64)
-            active = np.arange(samp_nodes.size)
-            while active.size:
-                u = 1.0 - rng.uniforms(active.size)  # (0, 1]
-                gap_f = np.floor(np.log(u) / log_q[active]) + 1.0
-                remaining = deg_s[active] - pos[active]
-                gap = np.where(gap_f > remaining, remaining + 1, gap_f).astype(np.int64)
-                pos[active] += gap
-                active = active[pos[active] <= deg_s[active]]
-                if active.size:
-                    hit = neighbors[offs_s[active] + pos[active] - 1]
-                    if active.size > 128:
-                        nxt += threshold * np.bincount(hit, minlength=n)
-                    else:
-                        np.add.at(nxt, hit, threshold)
-                    pushes += active.size
+            owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
+            hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
+            np.add.at(nxt, hit, threshold)
+            pushes += hit.size
 
         residue = nxt
         settled += alpha * residue
@@ -270,6 +250,7 @@ def setpush(
         walk_steps=0,
         rng_draws=rng.draws - start_draws,
         wall_nanos=time.perf_counter_ns() - t0,
+        derived={"theta": threshold},
     )
 
 
@@ -300,17 +281,14 @@ def reverse_mc(
     terminals, moves = alpha_walk_batch(
         g, np.full(walks, t, dtype=np.int64), cfg.alpha, rng
     )
-    tally = WalkTally.from_terminals(terminals, walks)
-    acc = 0.0
-    for s, count in tally.counts.items():
-        acc += count / g.degrees[s]
-    value = d_t / (n * walks) * acc
+    acc = float(np.sum(1.0 / g.degrees[terminals]))
     return Estimate(
-        value=float(value),
+        value=d_t / (n * walks) * acc,
         pushes=0,
         walk_steps=moves,
         rng_draws=rng.draws - start_draws,
         wall_nanos=time.perf_counter_ns() - t0,
+        derived={"walks": walks},
     )
 
 
@@ -349,6 +327,7 @@ def forward_mc(
         walk_steps=moves,
         rng_draws=rng.draws - start_draws,
         wall_nanos=time.perf_counter_ns() - t0,
+        derived={"walks": walks},
     )
 
 
@@ -409,6 +388,7 @@ def local_push(
         walk_steps=0,
         rng_draws=0,
         wall_nanos=time.perf_counter_ns() - t0,
+        derived={"epsilon": eps},
     )
 
 
@@ -424,7 +404,8 @@ def amplified(
 ) -> Estimate:
     """Median-of-means wrapper: repeat ``inner`` on independent
     substreams and aggregate, trading a log factor of repetitions for a
-    driven-down failure probability.  Counters are summed.
+    driven-down failure probability.  Counters are summed; ``derived``
+    is the inner estimates' (every repetition derives the same).
     """
     if not 1 <= groups <= repetitions:
         raise ValidationError(
@@ -445,6 +426,7 @@ def amplified(
         walk_steps=walk_steps,
         rng_draws=draws,
         wall_nanos=time.perf_counter_ns() - t0,
+        derived=est.derived,
     )
 
 

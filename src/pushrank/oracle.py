@@ -4,7 +4,9 @@ Everything here is dense and deterministic: full PageRank by power
 iteration, per-hop personalized-PageRank tables, the truncated PageRank
 they sum to, and single-source PPR vectors.  These are the ground truth
 the estimators' statistical contracts are tested against, not a scalable
-product path, so dense table construction is gated at n <= 10^4.
+product path.  The per-hop tables take (levels+1) * n^2 * 8 bytes and are
+gated at 1 GiB (n <= 1562 at the default alpha 0.2 and c 0.1); dense
+single-source vectors are gated at n <= 10^4.
 """
 from __future__ import annotations
 
@@ -24,18 +26,18 @@ if TYPE_CHECKING:
 __all__ = [
     "OracleTables",
     "DENSE_GATE",
+    "TABLE_BYTES_GATE",
     "truncation_levels",
-    "power_method",
     "pagerank",
     "lhop_ppr_tables",
     "build_tables",
-    "truncated_pagerank",
     "ppr_vector",
     "ppr_matrix",
     "write_csv",
 ]
 
 DENSE_GATE = 10_000
+TABLE_BYTES_GATE = 1 << 30
 
 
 @dataclass
@@ -81,29 +83,20 @@ def _push_forward(g: Graph, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib[g.neighbors], g.offsets[:-1])
 
 
-def power_method(g: Graph, alpha: float, iterations: int) -> np.ndarray:
-    """Exactly ``iterations`` PageRank updates from the uniform vector.
+def pagerank(
+    g: Graph, alpha: float, tol: float = 1e-12, max_iter: int = 2000
+) -> np.ndarray:
+    """Ground-truth PageRank by power iteration from the uniform vector:
+    iterate until the max-norm change is at most ``tol`` or ``max_iter``
+    updates are done, whichever comes first.  ``tol=0`` runs exactly
+    ``max_iter`` updates, short of a fixed point.
 
     Successive-iterate max-norm differences contract geometrically with
     rate (1 - alpha).
     """
-    if iterations < 1:
-        raise ValidationError("iterations must be >= 1")
     _check_alpha(alpha)
-    n = g.node_count
-    x = np.full(n, 1.0 / n)
-    teleport = alpha / n
-    for _ in range(iterations):
-        x = (1.0 - alpha) * _push_forward(g, x) + teleport
-    return x
-
-
-def pagerank(
-    g: Graph, alpha: float, tol: float = 1e-12, max_iter: int = 2000
-) -> np.ndarray:
-    """Ground-truth PageRank: iterate until the max-norm change is below
-    ``tol`` or ``max_iter`` is hit, whichever comes first."""
-    _check_alpha(alpha)
+    if max_iter < 1:
+        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     n = g.node_count
     x = np.full(n, 1.0 / n)
     teleport = alpha / n
@@ -126,10 +119,12 @@ def lhop_ppr_tables(g: Graph, alpha: float, levels: int) -> np.ndarray:
     if levels < 0:
         raise ValidationError("levels must be >= 0")
     n = g.node_count
-    if n > DENSE_GATE:
+    nbytes = (levels + 1) * n * n * 8
+    if nbytes > TABLE_BYTES_GATE:
         raise CapacityError(
-            f"dense per-hop tables gated at n <= {DENSE_GATE} (got {n}); "
-            "use the estimators for larger graphs"
+            f"dense per-hop tables for n={n}, levels={levels} need "
+            f"{nbytes / 2**30:.2f} GiB, over the {TABLE_BYTES_GATE / 2**30:.0f} GiB "
+            "gate; use the estimators for larger graphs"
         )
     adj = _adjacency(g)
     inv_deg = 1.0 / g.degrees
@@ -154,24 +149,6 @@ def build_tables(g: Graph, alpha: float, c: float) -> OracleTables:
         alpha=alpha,
         hop_limit=levels,
     )
-
-
-def truncated_pagerank(tables: OracleTables, c: float | None = None) -> np.ndarray:
-    """Truncated PageRank from per-hop tables: average over sources of
-    the summed per-hop mass at each target.
-
-    When ``c`` is given, the tables' hop cutoff must match the cutoff
-    that ``c`` implies.
-    """
-    n = tables.lhop_ppr.shape[1]
-    if c is not None:
-        expected = truncation_levels(n, tables.alpha, c)
-        if expected != tables.hop_limit:
-            raise ValidationError(
-                f"tables built for hop cutoff {tables.hop_limit}, "
-                f"but c={c} requires {expected}"
-            )
-    return tables.lhop_ppr.sum(axis=(0, 1)) / n
 
 
 def ppr_vector(

@@ -11,7 +11,6 @@ variate consumed is counted in ``RngStream.draws``.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
@@ -21,9 +20,7 @@ from .graph import Graph
 
 __all__ = [
     "RngStream",
-    "GeometricSampleCursor",
-    "geometric_skip_sample",
-    "alpha_walk",
+    "skip_sample",
     "alpha_walk_batch",
     "median_of_means",
 ]
@@ -55,11 +52,6 @@ class RngStream:
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self._gen = np.random.Generator(np.random.Philox(key=key))
 
-    def random(self) -> float:
-        """One uniform draw in [0, 1)."""
-        self.draws += 1
-        return float(self._gen.random())
-
     def uniforms(self, size: int) -> np.ndarray:
         """Vector of uniform draws in [0, 1); counts ``size`` draws."""
         self.draws += int(size)
@@ -75,92 +67,54 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, draws={self.draws})"
 
 
-def geometric_variate(p: float, rng: RngStream) -> int:
-    """Geometric on {1, 2, ...} by inversion: 1 + floor(ln U / ln(1-p)).
+def skip_sample(
+    sizes: np.ndarray, probs: np.ndarray, rng: RngStream
+) -> tuple[np.ndarray, np.ndarray]:
+    """Include each position 1..sizes[i] of set i independently with
+    probability probs[i]; return every inclusion as (owner, position).
 
-    O(1) per draw.  p == 1 short-circuits to 1 without consuming a draw.
+    Each set jumps ahead by Geometric(probs[i]) gaps drawn by inversion,
+    1 + floor(ln U / ln(1-p)) with U = 1 - uniform in (0, 1], so the work
+    is proportional to the number of inclusions plus one per set.  All
+    sets still short of their end draw together, one uniform each per
+    round in set order; inclusions come out round by round, so each
+    set's positions are 1-based and strictly increasing.
     """
-    if p >= 1.0:
-        return 1
-    u = 1.0 - rng.random()  # (0, 1]
-    g = 1.0 + math.floor(math.log(u) / math.log1p(-p))
-    return int(min(g, 2**62))
-
-
-class GeometricSampleCursor:
-    """Iterator of Bernoulli-included positions over 1..limit.
-
-    Jumps ahead by Geometric(success_prob) gaps, so each position is
-    included independently with probability exactly ``success_prob``
-    while the work stays proportional to the number of inclusions plus
-    one.  ``position`` is 1-based and strictly increasing.
-    """
-
-    __slots__ = ("success_prob", "position", "limit", "_rng")
-
-    def __init__(self, limit: int, success_prob: float, rng: RngStream):
-        if limit < 1:
-            raise ValidationError(f"limit must be >= 1, got {limit}")
-        if success_prob <= 0.0:
-            raise ContractViolationError(
-                "geometric sampling with success_prob <= 0; caller must skip the push"
-            )
-        if success_prob > 1.0:
-            raise ContractViolationError(
-                f"success_prob {success_prob} > 1; deterministic branch expected"
-            )
-        self.success_prob = success_prob
-        self.position = 0
-        self.limit = limit
-        self._rng = rng
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> int:
-        self.position += geometric_variate(self.success_prob, self._rng)
-        if self.position > self.limit:
-            raise StopIteration
-        return self.position
-
-
-def geometric_skip_sample(d: int, p_star: float, rng: RngStream) -> list[int]:
-    """Emit each index in 1..d independently with probability p_star, in
-    increasing order, in expected time proportional to the emitted count
-    plus one.  See ``GeometricSampleCursor`` for the jump mechanics."""
-    return list(GeometricSampleCursor(d, p_star, rng))
-
-
-def alpha_walk(g: Graph, start: int, alpha: float, rng: RngStream) -> tuple[int, int]:
-    """One discounted walk: stop with probability alpha at each step,
-    otherwise move to a uniform random neighbor.
-
-    Returns (terminal node, number of moves); expected moves are
-    1/alpha - 1.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must be in (0,1), got {alpha}")
-    u = start
-    moves = 0
-    offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    while rng.random() >= alpha:
-        d = degrees[u]
-        j = int(rng.random() * d)
-        if j == d:  # fp edge guard
-            j = d - 1
-        u = int(neighbors[offsets[u] + j])
-        moves += 1
-    return u, moves
+    sizes = np.asarray(sizes, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if np.any(sizes < 1):
+        raise ValidationError(f"set sizes must be >= 1, got {int(sizes.min())}")
+    if not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ContractViolationError(
+            "skip sampling needs probabilities in (0, 1); p <= 0 means no push "
+            "and p >= 1 belongs to the deterministic branch"
+        )
+    log_q = np.log1p(-probs)
+    pos = np.zeros(sizes.size, dtype=np.int64)
+    active = np.arange(sizes.size)
+    owners, positions = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    while active.size:
+        u = 1.0 - rng.uniforms(active.size)  # (0, 1]
+        gap_f = np.floor(np.log(u) / log_q[active]) + 1.0
+        remaining = sizes[active] - pos[active]
+        # clamp before the cast: tiny p makes gap_f overflow int64
+        gap = np.where(gap_f > remaining, remaining + 1, gap_f).astype(np.int64)
+        pos[active] += gap
+        active = active[pos[active] <= sizes[active]]
+        owners.append(active)
+        positions.append(pos[active])
+    return np.concatenate(owners), np.concatenate(positions)
 
 
 def alpha_walk_batch(
     g: Graph, starts: np.ndarray, alpha: float, rng: RngStream
 ) -> tuple[np.ndarray, int]:
-    """Vectorized batch of independent discounted walks.
+    """Independent discounted walks, one per start: each step stops
+    with probability alpha, otherwise moves to a uniform random neighbor.
 
-    Distributionally identical to repeated ``alpha_walk`` calls (the
-    draw interleaving differs); returns (terminals aligned with starts,
-    total moves).
+    All live walks advance together, one stop draw each per step and one
+    neighbor draw per mover.  Returns (terminals aligned with starts,
+    total moves); expected moves per walk are 1/alpha - 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")

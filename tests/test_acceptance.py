@@ -22,7 +22,7 @@ from pushrank.estimators import (
     reverse_mc,
     setpush,
 )
-from pushrank.sampling import RngStream, geometric_skip_sample
+from pushrank.sampling import RngStream, skip_sample
 
 from conftest import FP_DUST, small_suite_graphs, suite_graphs
 
@@ -286,18 +286,12 @@ def test_criterion_10_cost_scaling():
 def test_criterion_11_geometric_sampler():
     t0 = time.time()
     d, p, trials = 3, 0.4, 100_000
-    rng = RngStream(205)
-    observed = np.zeros(2**d)
-    total_emitted = 0
-    index_hits = np.zeros(d)
-    for _ in range(trials):
-        out = geometric_skip_sample(d, p, rng)
-        total_emitted += len(out)
-        mask = 0
-        for idx in out:
-            index_hits[idx - 1] += 1
-            mask |= 1 << (idx - 1)
-        observed[mask] += 1
+    owner, position = skip_sample(np.full(trials, d), np.full(trials, p), RngStream(205))
+    mask = np.zeros(trials, dtype=np.int64)
+    np.bitwise_or.at(mask, owner, 1 << (position - 1))
+    observed = np.bincount(mask, minlength=2**d)
+    total_emitted = owner.size
+    index_hits = np.bincount(position - 1, minlength=d)
     expected = np.array(
         [trials * p ** bin(m).count("1") * (1 - p) ** (d - bin(m).count("1"))
          for m in range(2**d)]

@@ -180,7 +180,9 @@ class TestWriters:
     def test_csv_and_json(self, tmp_path):
         spec = spec_complete16()
         records = bench.run_experiment(spec)
-        csv_path, json_path = bench.write_records(records, tmp_path)
+        csv_path, json_path = tmp_path / "records.csv", tmp_path / "summary.json"
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            bench.write_records_csv(records, fh)
         with open(json_path, "w", encoding="utf-8") as fh:
             bench.write_summary_json(bench.summarize(records, spec.configs), fh, spec)
         lines = csv_path.read_text().strip().splitlines()

@@ -77,6 +77,15 @@ class TestQuery:
         )
         assert res.exit_code != 0
 
+    @pytest.mark.parametrize("theta", ["nan", "inf"])
+    def test_non_finite_theta(self, runner, theta):
+        res = runner.invoke(
+            main, ["query", "--gen", "k2", "--target", "0", "--method", "setpush",
+                   "--theta", theta],
+        )
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: threshold_override")
+
     def test_theta_on_wrong_method(self, runner):
         res = runner.invoke(
             main, ["query", "--gen", "k2", "--target", "0", "--method", "local-push",
@@ -147,6 +156,25 @@ class TestBenchCmd:
         assert res.exit_code == 0
         doc = json.loads((tmp_path / "out/summary.json").read_text())
         assert doc["summaries"][0]["failure_rate"] == 0.0
+
+    def test_bad_targets_count(self, runner, tmp_path):
+        res = runner.invoke(main, ["bench", "--gen", "complete:16", "--method", "setpush",
+                                   "--targets", "uniform:abc", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert "error: --targets count must be an integer" in res.output
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"graph": "gen:k2", "estimator": "setpush"}', "'policy'"),
+        ('{"graph": "gen:k2", "estimator": "setpush", "frobnicate": 1, '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}', "frobnicate"),
+        ('{"graph": "gen:k2",\n  "estimator": ', "error: line 2: spec is not JSON"),
+    ], ids=["no-policy", "unknown-key", "not-json"])
+    def test_bad_spec_file(self, runner, tmp_path, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        res = runner.invoke(main, ["bench", "--spec", str(path), "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: ") and message in res.output
 
 
 class TestGenValidate:

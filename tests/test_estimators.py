@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pushrank import graph as pg
 from pushrank import oracle
@@ -20,7 +22,7 @@ from pushrank.estimators import (
 )
 from pushrank.sampling import RngStream
 
-from conftest import FP_DUST, clt_band
+from conftest import FP_DUST, clt_band, suite_graphs
 
 A = 0.2
 
@@ -37,6 +39,10 @@ class TestConfig:
             EstimatorConfig(threshold_override=-1.0)
         with pytest.raises(ConfigError):
             EstimatorConfig(cost_constant=0.0)
+        for bad in (math.nan, math.inf):
+            for field in ("c", "cost_constant", "threshold_override"):
+                with pytest.raises(ConfigError):
+                    EstimatorConfig(**{field: bad})
 
     def test_levels_matches_truncation(self):
         cfg = EstimatorConfig()
@@ -196,6 +202,92 @@ class TestSetpushStochastic:
         a = setpush(g, 5, cfg, RngStream(42, 9))
         b = setpush(g, 5, cfg, RngStream(42, 9))
         assert (a.value, a.pushes, a.rng_draws) == (b.value, b.pushes, b.rng_draws)
+
+
+def _reference_setpush(g, t, cfg, rng):
+    """The setpush with its own inline skip loop and a bincount switch for
+    large sampling rounds, kept as the reference the shipped setpush (one
+    ``skip_sample`` call per level) is compared against.  Returns
+    (value, pushes, rng_draws)."""
+    n = g.node_count
+    offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
+    threshold = (
+        cfg.threshold_override
+        if cfg.threshold_override is not None
+        else compute_threshold(g, t, cfg)
+    )
+    alpha = cfg.alpha
+    start_draws = rng.draws
+    residue = np.zeros(n)
+    residue[t] = 1.0
+    settled = np.zeros(n)
+    settled[t] = alpha
+    pushes = 0
+    for _ in range(cfg.levels(n)):
+        nz = np.flatnonzero(residue > 0.0)
+        if nz.size == 0:
+            break
+        share = (1.0 - alpha) * residue[nz]
+        deg_nz = degrees[nz]
+        prob = share / (threshold * deg_nz)
+        det = prob >= 1.0
+        nxt = np.zeros(n)
+        det_nodes = nz[det]
+        if det_nodes.size:
+            lens = deg_nz[det]
+            flat = np.concatenate(
+                [np.arange(offsets[u], offsets[u] + d) for u, d in zip(det_nodes, lens)]
+            )
+            nxt += np.bincount(
+                neighbors[flat], weights=np.repeat(share[det] / lens, lens), minlength=n
+            )
+            pushes += int(lens.sum())
+        samp_nodes = nz[~det]
+        if samp_nodes.size:
+            log_q = np.log1p(-prob[~det])
+            deg_s = deg_nz[~det]
+            offs_s = offsets[samp_nodes]
+            pos = np.zeros(samp_nodes.size, dtype=np.int64)
+            active = np.arange(samp_nodes.size)
+            while active.size:
+                u = 1.0 - rng.uniforms(active.size)
+                gap_f = np.floor(np.log(u) / log_q[active]) + 1.0
+                remaining = deg_s[active] - pos[active]
+                gap = np.where(gap_f > remaining, remaining + 1, gap_f).astype(np.int64)
+                pos[active] += gap
+                active = active[pos[active] <= deg_s[active]]
+                if active.size:
+                    hit = neighbors[offs_s[active] + pos[active] - 1]
+                    if active.size > 128:
+                        nxt += threshold * np.bincount(hit, minlength=n)
+                    else:
+                        np.add.at(nxt, hit, threshold)
+                    pushes += active.size
+        residue = nxt
+        settled += alpha * residue
+    value = float(degrees[t]) / n * float(np.sum(settled / degrees))
+    return value, pushes, rng.draws - start_draws
+
+
+_SUITE = suite_graphs()
+
+
+class TestSetpushDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(_SUITE),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([None, 0.02, 0.05]),
+        st.integers(0, 2**32),
+    )
+    def test_matches_reference(self, named, where, theta, seed):
+        _, g = named
+        t = int(where * g.node_count)
+        cfg = EstimatorConfig(threshold_override=theta)
+        est = setpush(g, t, cfg, RngStream(seed, t))
+        value, pushes, draws = _reference_setpush(g, t, cfg, RngStream(seed, t))
+        assert (est.pushes, est.rng_draws) == (pushes, draws)
+        assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
 
 class TestReverseMc:

@@ -9,13 +9,8 @@ from hypothesis import strategies as st
 from pushrank import graph as pg
 from pushrank import oracle
 from pushrank.errors import ContractViolationError, ValidationError
-from pushrank.sampling import (
-    RngStream,
-    alpha_walk,
-    alpha_walk_batch,
-    geometric_skip_sample,
-    median_of_means,
-)
+from pushrank.estimators import EstimatorConfig, setpush
+from pushrank.sampling import RngStream, alpha_walk_batch, median_of_means, skip_sample
 
 
 class TestRngStream:
@@ -29,7 +24,7 @@ class TestRngStream:
 
     def test_draw_counter(self):
         r = RngStream(0)
-        r.random()
+        r.uniforms(1)
         r.uniforms(10)
         assert r.draws == 11
 
@@ -41,55 +36,63 @@ class TestRngStream:
         assert a.stream_id != RngStream(5, 9).substream(4).stream_id
 
 
-class TestGeometricSkip:
-    def test_p_one_emits_everything(self):
-        r = RngStream(1)
-        assert geometric_skip_sample(5, 1.0, r) == [1, 2, 3, 4, 5]
-        assert r.draws == 0
+def _inclusion_masks(owner, position, sets):
+    """Bit i-1 of mask[k] is set when set k included position i."""
+    mask = np.zeros(sets, dtype=np.int64)
+    np.bitwise_or.at(mask, owner, 1 << (position - 1))
+    return mask
 
+
+class TestGeometricSkip:
     def test_contract_violations(self):
         r = RngStream(1)
-        with pytest.raises(ContractViolationError):
-            geometric_skip_sample(5, 0.0, r)
-        with pytest.raises(ContractViolationError):
-            geometric_skip_sample(5, 1.5, r)
+        for p in (0.0, 1.0, 1.5):
+            with pytest.raises(ContractViolationError):
+                skip_sample(np.array([5]), np.array([p]), r)
         with pytest.raises(ValidationError):
-            geometric_skip_sample(0, 0.5, r)
+            skip_sample(np.array([0]), np.array([0.5]), r)
+        assert r.draws == 0
+
+    def test_p_one_emits_everything(self):
+        # skip_sample refuses p = 1 (test_contract_violations); setpush's
+        # deterministic branch owns it.  Here the per-neighbor probability
+        # is exactly 1: share (1-a)*1 = 0.5 over threshold 0.125 * degree 4.
+        cfg = EstimatorConfig(alpha=0.5, threshold_override=0.125, levels_override=1)
+        levels = []
+        est = setpush(pg.complete(5), 0, cfg, RngStream(1), level_sink=levels.append)
+        assert levels[1].entries == {1: 0.125, 2: 0.125, 3: 0.125, 4: 0.125}
+        assert est.pushes == 4
+        assert est.rng_draws == 0
 
     def test_emitted_count_binomial_mean(self):
         # Binomial(10, 0.3) oracle: mean 3, sd sqrt(10*.3*.7)
         trials = 100_000
-        r = RngStream(202)
-        counts = np.array([len(geometric_skip_sample(10, 0.3, r)) for _ in range(trials)])
+        owner, _ = skip_sample(np.full(trials, 10), np.full(trials, 0.3), RngStream(202))
+        counts = np.bincount(owner, minlength=trials)
         sigma = math.sqrt(10 * 0.3 * 0.7 / trials)
         assert abs(counts.mean() - 3.0) < 3 * sigma
 
     def test_marginal_inclusion(self):
         # Bernoulli marginal oracle: index 7 appears w.p. 0.3 exactly
         trials = 100_000
-        r = RngStream(203)
-        hits = sum(7 in set(geometric_skip_sample(10, 0.3, r)) for _ in range(trials))
+        _, position = skip_sample(np.full(trials, 10), np.full(trials, 0.3), RngStream(203))
+        hits = np.count_nonzero(position == 7)
         sigma = math.sqrt(0.3 * 0.7 / trials)
         assert abs(hits / trials - 0.3) < 3 * sigma
 
     def test_strictly_increasing_in_range(self):
-        r = RngStream(204)
-        for _ in range(200):
-            out = geometric_skip_sample(7, 0.6, r)
-            assert out == sorted(set(out))
-            assert all(1 <= i <= 7 for i in out)
+        owner, position = skip_sample(np.full(200, 7), np.full(200, 0.6), RngStream(204))
+        assert np.all((1 <= position) & (position <= 7))
+        order = np.argsort(owner, kind="stable")
+        same = owner[order][1:] == owner[order][:-1]
+        assert np.all(np.diff(position[order])[same] > 0)
 
     def test_exact_pattern_chi_squared(self):
         # independence: all 2^3 inclusion patterns vs the product-Bernoulli
         # probabilities, significance 1e-3
         d, p, trials = 3, 0.4, 100_000
-        r = RngStream(205)
-        observed = np.zeros(8)
-        for _ in range(trials):
-            mask = 0
-            for idx in geometric_skip_sample(d, p, r):
-                mask |= 1 << (idx - 1)
-            observed[mask] += 1
+        owner, position = skip_sample(np.full(trials, d), np.full(trials, p), RngStream(205))
+        observed = np.bincount(_inclusion_masks(owner, position, trials), minlength=8)
         expected = np.array(
             [
                 trials
@@ -103,8 +106,8 @@ class TestGeometricSkip:
         assert stat < crit, (stat, crit)
 
     def test_tiny_p_no_overflow(self):
-        r = RngStream(206)
-        assert geometric_skip_sample(10, 1e-18, r) == []
+        owner, position = skip_sample(np.array([10]), np.array([1e-18]), RngStream(206))
+        assert owner.size == position.size == 0
 
 
 class TestAlphaWalk:
@@ -112,44 +115,39 @@ class TestAlphaWalk:
         # oracle: closed-form PPR on two nodes, 5/9 stay / 4/9 cross
         g = pg.complete(2)
         trials = 100_000
-        r = RngStream(301)
-        stays = sum(alpha_walk(g, 0, 0.2, r)[0] == 0 for _ in range(trials))
+        terms, _ = alpha_walk_batch(g, np.zeros(trials, dtype=np.int64), 0.2, RngStream(301))
         p = 5 / 9
         sigma = math.sqrt(p * (1 - p) / trials)
-        assert abs(stays / trials - p) < 3 * sigma
+        assert abs(np.mean(terms == 0) - p) < 3 * sigma
 
     def test_mean_moves(self):
         # moves ~ Geometric: mean (1-a)/a = 4, var (1-a)/a^2 = 20
         g = pg.complete(2)
         trials = 100_000
-        r = RngStream(302)
-        moves = np.array([alpha_walk(g, 0, 0.2, r)[1] for _ in range(trials)])
-        assert abs(moves.mean() - 4.0) < 3 * math.sqrt(20 / trials)
+        _, moves = alpha_walk_batch(g, np.zeros(trials, dtype=np.int64), 0.2, RngStream(302))
+        assert abs(moves / trials - 4.0) < 3 * math.sqrt(20 / trials)
 
     def test_high_alpha_stays_home(self):
         g = pg.complete(2)
-        r = RngStream(303)
-        outcomes = [alpha_walk(g, 0, 0.999, r) for _ in range(2000)]
-        assert np.mean([m for _, m in outcomes]) < 0.01
-        assert np.mean([t == 0 for t, _ in outcomes]) > 0.99
+        terms, moves = alpha_walk_batch(g, np.zeros(2000, dtype=np.int64), 0.999, RngStream(303))
+        assert moves / 2000 < 0.01
+        assert np.mean(terms == 0) > 0.99
 
-    def test_batch_matches_single_distribution(self):
+    def test_terminal_distribution_star5(self):
+        # oracle: PPR vector of the star center
         g = pg.star(5)
         trials = 60_000
-        r = RngStream(304)
-        singles = np.array([alpha_walk(g, 0, 0.2, r)[0] for _ in range(trials)])
         terms, moves = alpha_walk_batch(g, np.zeros(trials, dtype=np.int64), 0.2, RngStream(305))
         pv = oracle.ppr_vector(g, 0, 0.2)
         for node in range(g.node_count):
             p = pv[node]
             sigma = math.sqrt(p * (1 - p) / trials)
-            assert abs(np.mean(singles == node) - p) < 4 * sigma
             assert abs(np.mean(terms == node) - p) < 4 * sigma
         assert abs(moves / trials - 4.0) < 3 * math.sqrt(20 / trials)
 
     def test_alpha_validation(self):
         with pytest.raises(ValidationError):
-            alpha_walk(pg.complete(2), 0, 1.0, RngStream(0))
+            alpha_walk_batch(pg.complete(2), np.zeros(1, dtype=np.int64), 1.0, RngStream(0))
 
 
 class TestMedianOfMeans:
