@@ -54,8 +54,10 @@ class EstimatorConfig:
 
     ``cost_constant`` scales the derived push threshold downward; the
     default 4 follows the Chebyshev derivation that carries an explicit
-    failure-probability factor.  The coarser published constant is
-    reachable with cost_constant=12 and failure_prob=1.
+    failure-probability factor.  ``failure_prob`` must stay inside
+    (0, 1), so the coarser published threshold alpha*c^2/(12*levels),
+    which has no such factor, is built as cost_constant = 12 *
+    failure_prob (1.2 at the default failure_prob 0.1).
     """
 
     alpha: float = 0.2
@@ -161,6 +163,15 @@ def _concat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _fold(pieces: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
+    """Dense length-n sum of (nodes, values) pieces, added in list order."""
+    return np.bincount(
+        np.concatenate([p[0] for p in pieces]),
+        weights=np.concatenate([p[1] for p in pieces]),
+        minlength=n,
+    )
+
+
 def setpush(
     g: Graph,
     t: int,
@@ -181,6 +192,16 @@ def setpush(
     ``pushes`` counts every residue increment.  Iteration over nonzero
     residues is in ascending node order so runs are bit-reproducible for
     a fixed stream.
+
+    The frontier is held as (ascending nodes, residues), so a level costs
+    time in its own pushes, not in n.  A level with at most n/8 increments
+    accumulates them with ``unique`` + ``bincount``; a heavier one uses a
+    dense array (``bincount`` of the deterministic shares, then the
+    sampled hits one at a time).  Settled mass is kept as per-level pieces
+    until they outgrow n/8 entries, then folded into one dense vector; the
+    final degree-weighted sum is the one O(n) pass per query.  Every
+    residue receives its increments in the same order on either path, so
+    the result does not depend on which path a level took.
     """
     g._check_node(t)
     n = g.node_count
@@ -198,51 +219,71 @@ def setpush(
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
 
-    residue = np.zeros(n)
-    residue[t] = 1.0
-    settled = np.zeros(n)
-    settled[t] = alpha
+    nodes = np.array([t], dtype=np.int64)
+    vals = np.array([1.0])
+    # settled mass: per-level (nodes, alpha * residue) pieces while they are
+    # small, then one dense vector; bincount adds each node's pieces in
+    # level order, as a dense running sum would
+    pieces = [(nodes, alpha * vals)]
+    piece_entries = 1
+    settled = None
     pushes = 0
     if level_sink is not None:
         level_sink(ResidueLevel(0, {t: 1.0}))
 
     for level in range(levels):
-        nz = np.flatnonzero(residue > 0.0)
-        if nz.size == 0:
+        if nodes.size == 0:
             break
-        share = (1.0 - alpha) * residue[nz]
-        deg_nz = degrees[nz]
+        share = (1.0 - alpha) * vals
+        deg_nz = degrees[nodes]
         # single fp criterion for both branches: deterministic iff the
         # per-neighbor probability would reach 1
         prob = share / (threshold * deg_nz)
         det = prob >= 1.0
-        nxt = np.zeros(n)
+        det_idx = hit = np.empty(0, dtype=np.int64)
+        det_w = np.empty(0)
 
-        det_nodes = nz[det]
+        det_nodes = nodes[det]
         if det_nodes.size:
             lens = deg_nz[det]
-            inc = share[det] / lens
-            flat = _concat_slices(offsets[det_nodes], lens)
-            nxt += np.bincount(
-                neighbors[flat], weights=np.repeat(inc, lens), minlength=n
-            )
-            pushes += int(lens.sum())
+            det_idx = neighbors[_concat_slices(offsets[det_nodes], lens)]
+            det_w = np.repeat(share[det] / lens, lens)
 
-        samp_nodes = nz[~det]
+        samp_nodes = nodes[~det]
         if samp_nodes.size:
             owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
             hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
-            np.add.at(nxt, hit, threshold)
-            pushes += hit.size
 
-        residue = nxt
-        settled += alpha * residue
-        if level_sink is not None:
-            sup = np.flatnonzero(residue)
-            level_sink(
-                ResidueLevel(level + 1, {int(u): float(residue[u]) for u in sup})
+        increments = det_idx.size + hit.size
+        pushes += increments
+        if 8 * increments <= n:
+            nodes, inv = np.unique(np.concatenate([det_idx, hit]), return_inverse=True)
+            vals = np.bincount(
+                inv, weights=np.concatenate([det_w, np.full(hit.size, threshold)])
             )
+            if settled is not None:
+                settled[nodes] += alpha * vals
+            else:
+                pieces.append((nodes, alpha * vals))
+                piece_entries += nodes.size
+                if 8 * piece_entries > n:
+                    settled = _fold(pieces, n)
+        else:
+            if det_idx.size:
+                acc = np.bincount(det_idx, weights=det_w, minlength=n)
+            else:  # bincount of nothing is an integer array, whatever its weights
+                acc = np.zeros(n)
+            np.add.at(acc, hit, threshold)
+            nodes = np.flatnonzero(acc > 0.0)  # a bool mask scans faster than floats
+            vals = acc[nodes]
+            if settled is None:
+                settled = _fold(pieces, n)
+            settled += alpha * acc
+        if level_sink is not None:
+            level_sink(ResidueLevel(level + 1, dict(zip(nodes.tolist(), vals.tolist()))))
 
+    if settled is None:
+        settled = _fold(pieces, n)
     value = float(degrees[t]) / n * float(np.sum(settled / degrees))
     return Estimate(
         value=value,
@@ -252,6 +293,12 @@ def setpush(
         wall_nanos=time.perf_counter_ns() - t0,
         derived={"theta": threshold},
     )
+
+
+def _check_walks(walks) -> None:
+    # a bool is an int to Python; a float would reach np.full as a size
+    if isinstance(walks, bool) or not isinstance(walks, (int, np.integer)) or walks < 1:
+        raise ValidationError(f"walks must be an integer >= 1, got {walks!r}")
 
 
 def reverse_mc(
@@ -273,8 +320,7 @@ def reverse_mc(
     d_t = g.degree(t)
     if walks is None:
         walks = math.ceil(3.0 * d_t / (cfg.c**2 * cfg.alpha))
-    if walks < 1:
-        raise ValidationError(f"walks must be >= 1, got {walks}")
+    _check_walks(walks)
     n = g.node_count
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
@@ -314,8 +360,7 @@ def forward_mc(
             / (cfg.c**2 * cfg.alpha)
             * math.log(1.0 / cfg.failure_prob)
         )
-    if walks < 1:
-        raise ValidationError(f"walks must be >= 1, got {walks}")
+    _check_walks(walks)
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
     sources = np.minimum((rng.uniforms(walks) * n).astype(np.int64), n - 1)
@@ -351,8 +396,9 @@ def local_push(
     g._check_node(t)
     n = g.node_count
     eps = epsilon if epsilon is not None else cfg.c * cfg.alpha / n
-    if eps <= 0.0:
-        raise ConfigError(f"epsilon must be > 0, got {eps}")
+    # written so that nan fails too: a nan epsilon would settle nothing
+    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < math.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {eps!r}")
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
     alpha = cfg.alpha
     t0 = time.perf_counter_ns()

@@ -371,8 +371,9 @@ def dump_edge_list(g: Graph, out: IO[str]) -> None:
     the byte output a canonical form of the labeled graph.
     """
     out.write(f"# undirected graph: n={g.node_count} m={g.edge_count}\n")
-    for u, v in g._labeled_edges():
-        out.write(f"{u} {v}\n")
+    pairs = g._labeled_edges()
+    for k in range(0, len(pairs), 65536):  # one write per chunk, not per edge
+        out.write("".join(f"{u} {v}\n" for u, v in pairs[k : k + 65536].tolist()))
 
 
 def complete(n: int) -> Graph:

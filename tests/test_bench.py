@@ -56,6 +56,17 @@ class TestRunExperiment:
         pooled = bench.run_experiment(spec, threads=4)
         assert bench.records_equal(serial, pooled)
 
+    def test_concurrency_independence_sparse_frontier(self):
+        # ring frontiers stay far below n/8, so setpush runs its sparse
+        # levels and the settled-piece fold on every pool thread at once
+        spec = spec_complete16(
+            graph="gen:ring:20000", policy=bench.TargetPolicy("uniform", 4, seed=5),
+            repetitions=3, oracle=False,
+        )
+        serial = bench.run_experiment(spec, threads=1)
+        pooled = bench.run_experiment(spec, threads=4)
+        assert bench.records_equal(serial, pooled)
+
     def test_oracle_values_attached(self):
         records = bench.run_experiment(spec_complete16())
         for rec in records:

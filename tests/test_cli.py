@@ -176,6 +176,22 @@ class TestBenchCmd:
         assert res.exit_code == 1, res.output
         assert res.output.startswith("error: ") and message in res.output
 
+    @pytest.mark.parametrize("estimator, extras, message", [
+        ("reverse-mc", '{"walks": 1.5}', "walks must be an integer >= 1, got 1.5"),
+        ("local-push", '{"epsilon": NaN}', "epsilon must be finite and > 0, got nan"),
+    ], ids=["float-walks", "nan-epsilon"])
+    def test_bad_spec_extras(self, runner, tmp_path, estimator, extras, message):
+        # Python's json reads NaN, so a spec can carry it to the estimator
+        path = tmp_path / "spec.json"
+        path.write_text(
+            f'{{"graph": "gen:star:9", "estimator": "{estimator}", '
+            f'"policy": {{"kind": "uniform", "count": 2, "seed": 1}}, '
+            f'"configs": [{extras}], "seed": 2}}'
+        )
+        res = runner.invoke(main, ["bench", "--spec", str(path), "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: ") and message in res.output
+
 
 class TestGenValidate:
     def test_gen_then_validate(self, runner, tmp_path):

@@ -204,11 +204,16 @@ class TestSetpushStochastic:
         assert (a.value, a.pushes, a.rng_draws) == (b.value, b.pushes, b.rng_draws)
 
 
-def _reference_setpush(g, t, cfg, rng):
-    """The setpush with its own inline skip loop and a bincount switch for
-    large sampling rounds, kept as the reference the shipped setpush (one
-    ``skip_sample`` call per level) is compared against.  Returns
-    (value, pushes, rng_draws)."""
+def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
+    """The setpush with its own inline skip loop, a bincount switch for
+    large sampling rounds and dense per-level arrays, kept as the reference
+    the shipped setpush (one ``skip_sample`` call per level, frontier-sized
+    arrays) is compared against.  Returns (value, pushes, rng_draws); a
+    ``residues`` list receives each level's dense residue vector.
+
+    The switch adds ``threshold * hits`` once where the shipped setpush adds
+    ``threshold`` once per hit, so it can move a residue's last bit;
+    ``bincount_switch=False`` keeps the one-at-a-time order throughout."""
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
     threshold = (
@@ -258,18 +263,21 @@ def _reference_setpush(g, t, cfg, rng):
                 active = active[pos[active] <= deg_s[active]]
                 if active.size:
                     hit = neighbors[offs_s[active] + pos[active] - 1]
-                    if active.size > 128:
+                    if bincount_switch and active.size > 128:
                         nxt += threshold * np.bincount(hit, minlength=n)
                     else:
                         np.add.at(nxt, hit, threshold)
                     pushes += active.size
         residue = nxt
         settled += alpha * residue
+        if residues is not None:
+            residues.append(residue)
     value = float(degrees[t]) / n * float(np.sum(settled / degrees))
     return value, pushes, rng.draws - start_draws
 
 
 _SUITE = suite_graphs()
+_SPARSE_FRONTIER = [pg.ring(5000), pg.path(3000), pg.power_law(2000, 2.5, 7)]
 
 
 class TestSetpushDifferential:
@@ -288,6 +296,31 @@ class TestSetpushDifferential:
         value, pushes, draws = _reference_setpush(g, t, cfg, RngStream(seed, t))
         assert (est.pushes, est.rng_draws) == (pushes, draws)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
+
+    # frontiers far below n/8 for many levels: sparse levels, the fold of the
+    # settled pieces, and (power_law) sparse levels after dense ones
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(_SPARSE_FRONTIER),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.sampled_from([None, 0.02]),
+        st.integers(0, 2**32),
+    )
+    def test_sparse_frontier_bit_identical(self, g, where, theta, seed):
+        t = int(where * g.node_count)
+        cfg = EstimatorConfig(threshold_override=theta)
+        levels = []
+        est = setpush(g, t, cfg, RngStream(seed, t), level_sink=levels.append)
+        dense = []
+        value, pushes, draws = _reference_setpush(
+            g, t, cfg, RngStream(seed, t), residues=dense, bincount_switch=False
+        )
+        assert (est.pushes, est.rng_draws, est.value) == (pushes, draws, value)
+        assert [lv.level for lv in levels] == list(range(len(dense) + 1))
+        assert levels[0].entries == {t: 1.0}
+        for lv, res in zip(levels[1:], dense):
+            nz = np.flatnonzero(res)
+            assert lv.entries == dict(zip(nz.tolist(), res[nz].tolist()))
 
 
 class TestReverseMc:

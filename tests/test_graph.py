@@ -65,6 +65,20 @@ class TestLoadEdgeList:
         pg.dump_edge_list(again, buf2)
         assert buf.getvalue() == buf2.getvalue()
 
+    def test_dump_matches_per_line_writer(self, suite):
+        def per_line(g, out):
+            out.write(f"# undirected graph: n={g.node_count} m={g.edge_count}\n")
+            for u, v in g._labeled_edges():
+                out.write(f"{u} {v}\n")
+
+        relabeled = pg.load_edge_list("70 3\n3 912\n912 70\n5 3\n")
+        # ring(70000) spans two 65536-edge chunks
+        for name, g in suite + [("relabeled", relabeled), ("ring70000", pg.ring(70000))]:
+            fast, slow = io.StringIO(), io.StringIO()
+            pg.dump_edge_list(g, fast)
+            per_line(g, slow)
+            assert fast.getvalue() == slow.getvalue(), name
+
 
 class TestGenerators:
     def test_complete(self):
