@@ -246,6 +246,7 @@ def run_experiment(
     """
     if g is None:
         g = load_graph_source(spec.graph)
+    parsed = [_split_config(point) for point in spec.configs]
     oracle_vec = None
     if spec.oracle:
         if g.node_count > DENSE_GATE:
@@ -253,10 +254,9 @@ def run_experiment(
                 f"oracle values requested but n={g.node_count} exceeds the "
                 f"dense gate {DENSE_GATE}; rerun with oracle=False"
             )
-        oracle_vec = pagerank(g, _common_alpha(spec.configs))
+        oracle_vec = pagerank(g, _common_alpha([cfg for cfg, _ in parsed]))
 
     targets = select_targets(g, spec.policy)
-    parsed = [_split_config(point) for point in spec.configs]
     fn = ESTIMATORS[spec.estimator]
 
     tasks = []
@@ -292,8 +292,8 @@ def run_experiment(
         return list(pool.map(run_one, tasks))
 
 
-def _common_alpha(configs: list[dict]) -> float:
-    alphas = {point.get("alpha", EstimatorConfig().alpha) for point in configs}
+def _common_alpha(configs: list[EstimatorConfig]) -> float:
+    alphas = {cfg.alpha for cfg in configs}
     if len(alphas) != 1:
         raise ValidationError(
             "oracle comparison needs a single alpha across the config grid"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable
@@ -68,6 +69,19 @@ class EstimatorConfig:
     cost_constant: float = 4.0
 
     def __post_init__(self):
+        # a spec's configs reach here unchecked: a str or a list would end
+        # in a TypeError below, and a bool is an int to Python
+        for name in ("alpha", "c", "failure_prob", "cost_constant", "threshold_override"):
+            value = getattr(self, name)
+            if value is not None and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ConfigError(f"{name} must be a real number, got {value!r}")
+        levels = self.levels_override
+        if levels is not None and (
+            isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 1
+        ):
+            raise ConfigError(f"levels_override must be an integer >= 1, got {levels!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         # written so that nan fails too: a nan or infinite threshold would
@@ -82,8 +96,6 @@ class EstimatorConfig:
             raise ConfigError(
                 f"threshold_override must be finite and > 0, got {self.threshold_override}"
             )
-        if self.levels_override is not None and self.levels_override < 1:
-            raise ConfigError("levels_override must be >= 1")
 
     def levels(self, n: int) -> int:
         """Hop cutoff for the truncated score this config targets."""
@@ -163,15 +175,6 @@ def _concat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
-def _fold(pieces: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Dense length-n sum of (nodes, values) pieces, added in list order."""
-    return np.bincount(
-        np.concatenate([p[0] for p in pieces]),
-        weights=np.concatenate([p[1] for p in pieces]),
-        minlength=n,
-    )
-
-
 def setpush(
     g: Graph,
     t: int,
@@ -197,11 +200,13 @@ def setpush(
     time in its own pushes, not in n.  A level with at most n/8 increments
     accumulates them with ``unique`` + ``bincount``; a heavier one uses a
     dense array (``bincount`` of the deterministic shares, then the
-    sampled hits one at a time).  Settled mass is kept as per-level pieces
-    until they outgrow n/8 entries, then folded into one dense vector; the
-    final degree-weighted sum is the one O(n) pass per query.  Every
-    residue receives its increments in the same order on either path, so
-    the result does not depend on which path a level took.
+    sampled hits one at a time).  Every residue receives its increments
+    in the same order on either path, so the result does not depend on
+    which path a level took.  The sampled neighbors of a whole level come
+    from one block-drawn ``skip_sample`` call.  Settled mass is never
+    stored: each level adds alpha * sum(residue / degree) over its own
+    frontier to a scalar, so a query with small frontiers makes no pass
+    over all n nodes.
     """
     g._check_node(t)
     n = g.node_count
@@ -221,12 +226,9 @@ def setpush(
 
     nodes = np.array([t], dtype=np.int64)
     vals = np.array([1.0])
-    # settled mass: per-level (nodes, alpha * residue) pieces while they are
-    # small, then one dense vector; bincount adds each node's pieces in
-    # level order, as a dense running sum would
-    pieces = [(nodes, alpha * vals)]
-    piece_entries = 1
-    settled = None
+    deg_nz = degrees[nodes]
+    # the degree-weighted settled mass, sum over levels of alpha * residue / d
+    settled = alpha * np.sum(vals / deg_nz)
     pushes = 0
     if level_sink is not None:
         level_sink(ResidueLevel(0, {t: 1.0}))
@@ -235,7 +237,6 @@ def setpush(
         if nodes.size == 0:
             break
         share = (1.0 - alpha) * vals
-        deg_nz = degrees[nodes]
         # single fp criterion for both branches: deterministic iff the
         # per-neighbor probability would reach 1
         prob = share / (threshold * deg_nz)
@@ -261,13 +262,6 @@ def setpush(
             vals = np.bincount(
                 inv, weights=np.concatenate([det_w, np.full(hit.size, threshold)])
             )
-            if settled is not None:
-                settled[nodes] += alpha * vals
-            else:
-                pieces.append((nodes, alpha * vals))
-                piece_entries += nodes.size
-                if 8 * piece_entries > n:
-                    settled = _fold(pieces, n)
         else:
             if det_idx.size:
                 acc = np.bincount(det_idx, weights=det_w, minlength=n)
@@ -276,15 +270,12 @@ def setpush(
             np.add.at(acc, hit, threshold)
             nodes = np.flatnonzero(acc > 0.0)  # a bool mask scans faster than floats
             vals = acc[nodes]
-            if settled is None:
-                settled = _fold(pieces, n)
-            settled += alpha * acc
+        deg_nz = degrees[nodes]
+        settled += alpha * np.sum(vals / deg_nz)
         if level_sink is not None:
             level_sink(ResidueLevel(level + 1, dict(zip(nodes.tolist(), vals.tolist()))))
 
-    if settled is None:
-        settled = _fold(pieces, n)
-    value = float(degrees[t]) / n * float(np.sum(settled / degrees))
+    value = float(degrees[t]) / n * float(settled)
     return Estimate(
         value=value,
         pushes=pushes,

@@ -14,7 +14,6 @@ degree 0 is a hard error rather than being silently patched.
 from __future__ import annotations
 
 import logging
-import math
 import re
 from dataclasses import dataclass
 from typing import IO, Iterable
@@ -22,6 +21,7 @@ from typing import IO, Iterable
 import numpy as np
 
 from .errors import ParseError, ValidationError
+from .sampling import RngStream, skip_sample
 
 logger = logging.getLogger(__name__)
 
@@ -105,10 +105,6 @@ class Graph:
             max_degree=int(self.degrees.max()),
             min_degree=int(self.degrees.min()),
         )
-
-    def to_original(self, u: int) -> int:
-        self._check_node(u)
-        return int(self.original_ids[u])
 
     def from_original(self, label: int) -> int:
         hits = np.flatnonzero(self.original_ids == label)
@@ -401,36 +397,23 @@ def ring(n: int) -> Graph:
 
 
 def erdos_renyi(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) by geometric skipping over the C(n,2) pair index space;
-    isolated nodes are attached to a uniformly random other node."""
+    """G(n, p) by geometric skipping over the C(n,2) pair index space:
+    one ``skip_sample`` set of size C(n,2) on ``RngStream(seed)``.
+    Isolated nodes are attached to a uniformly random other node."""
     _need(n >= 2, "erdos_renyi needs n >= 2")
     _need(0.0 < p <= 1.0, "erdos_renyi needs 0 < p <= 1")
-    rng = np.random.default_rng(seed)
     total = n * (n - 1) // 2
-    picks: list[int] = []
     if p >= 1.0:
-        picks = list(range(total))
+        idx = np.arange(total, dtype=np.int64)
     else:
-        log_q = math.log1p(-p)
-        k = -1
-        while True:
-            k += 1 + int(math.log(1.0 - rng.random()) / log_q)
-            if k >= total:
-                break
-            picks.append(k)
-    idx = np.asarray(picks, dtype=np.int64)
+        _, position = skip_sample(np.array([total]), np.array([p]), RngStream(seed))
+        idx = position - 1
     # invert the row-major upper-triangle linearization
-    src = np.empty(idx.shape, dtype=np.int64)
-    dst = np.empty(idx.shape, dtype=np.int64)
-    if idx.size:
-        i = (
-            n
-            - 2
-            - np.floor(np.sqrt(-8.0 * idx + 4.0 * n * (n - 1) - 7) / 2.0 - 0.5)
-        ).astype(np.int64)
-        j = idx + i + 1 - i * (2 * n - i - 1) // 2
-        src, dst = i, j.astype(np.int64)
-    return _attach_isolated(n, src, dst, rng)
+    src = (
+        n - 2 - np.floor(np.sqrt(-8.0 * idx + 4.0 * n * (n - 1) - 7) / 2.0 - 0.5)
+    ).astype(np.int64)
+    dst = idx + src + 1 - src * (2 * n - src - 1) // 2
+    return _attach_isolated(n, src, dst, np.random.default_rng(seed))
 
 
 def power_law(n: int, exponent: float, seed: int) -> Graph:

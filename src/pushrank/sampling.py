@@ -11,12 +11,14 @@ variate consumed is counted in ``RngStream.draws``.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ContractViolationError, ValidationError
-from .graph import Graph
+
+if TYPE_CHECKING:
+    from .graph import Graph
 
 __all__ = [
     "RngStream",
@@ -67,18 +69,42 @@ class RngStream:
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, draws={self.draws})"
 
 
+def _gaps(rng: RngStream, log_q: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """One Geometric gap per entry of log_q = ln(1-p) by inversion,
+    1 + floor(ln U / ln(1-p)) with U = 1 - uniform in (0, 1], capped at
+    limit + 1.  The cap comes before the integer cast: tiny p makes the
+    quotient overflow int64."""
+    u = rng.uniforms(log_q.size)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, log_q, out=u)
+    np.floor(u, out=u)
+    np.minimum(u, limit, out=u)
+    gap = u.astype(np.int64)
+    gap += 1
+    return gap
+
+
 def skip_sample(
     sizes: np.ndarray, probs: np.ndarray, rng: RngStream
 ) -> tuple[np.ndarray, np.ndarray]:
     """Include each position 1..sizes[i] of set i independently with
     probability probs[i]; return every inclusion as (owner, position).
 
-    Each set jumps ahead by Geometric(probs[i]) gaps drawn by inversion,
-    1 + floor(ln U / ln(1-p)) with U = 1 - uniform in (0, 1], so the work
-    is proportional to the number of inclusions plus one per set.  All
-    sets still short of their end draw together, one uniform each per
-    round in set order; inclusions come out round by round, so each
-    set's positions are 1-based and strictly increasing.
+    Each set jumps ahead by Geometric(probs[i]) gaps (Batagelj & Brandes,
+    "Efficient generation of large random networks", 2005), drawn in
+    blocks so that a call takes a few rounds rather than one per
+    inclusion.  The first round draws one gap per set.  Each later round
+    draws, in one block per set still short of its end, 1 + ceil(mu)
+    gaps, where mu = (size - pos) * p is the set's expected number of
+    further inclusions; a segmented cumulative sum turns them into
+    positions.  Gaps that land past a set's end are drawn and counted but
+    emit nothing, and a set whose last position is its end closes without
+    a draw.  So the work is proportional to the number of inclusions plus
+    one per set, and a call's draws are the sum of its block sizes.
+
+    Inclusions come out round by round, and within a round set by set, so
+    each set's positions are 1-based and strictly increasing.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
@@ -90,19 +116,24 @@ def skip_sample(
             "and p >= 1 belongs to the deterministic branch"
         )
     log_q = np.log1p(-probs)
-    pos = np.zeros(sizes.size, dtype=np.int64)
-    active = np.arange(sizes.size)
-    owners, positions = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    pos = _gaps(rng, log_q, sizes)
+    first = np.flatnonzero(pos <= sizes)
+    owners, positions = [first], [pos[first]]
+    active = first[pos[first] < sizes[first]]
     while active.size:
-        u = 1.0 - rng.uniforms(active.size)  # (0, 1]
-        gap_f = np.floor(np.log(u) / log_q[active]) + 1.0
-        remaining = sizes[active] - pos[active]
-        # clamp before the cast: tiny p makes gap_f overflow int64
-        gap = np.where(gap_f > remaining, remaining + 1, gap_f).astype(np.int64)
-        pos[active] += gap
-        active = active[pos[active] <= sizes[active]]
-        owners.append(active)
-        positions.append(pos[active])
+        pos_a = pos[active]
+        remaining = sizes[active] - pos_a
+        block = 1 + np.ceil(remaining * probs[active]).astype(np.int64)
+        owner = np.repeat(active, block)
+        total = np.cumsum(_gaps(rng, log_q[owner], np.repeat(remaining, block)))
+        ends = np.cumsum(block) - 1
+        before = np.concatenate(([0], total[ends[:-1]]))  # sum of earlier blocks
+        position = total + np.repeat(pos_a - before, block)
+        inside = np.flatnonzero(position <= sizes[owner])
+        owners.append(owner[inside])
+        positions.append(position[inside])
+        pos[active] = position[ends]
+        active = active[pos[active] < sizes[active]]
     return np.concatenate(owners), np.concatenate(positions)
 
 

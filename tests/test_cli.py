@@ -179,7 +179,13 @@ class TestBenchCmd:
     @pytest.mark.parametrize("estimator, extras, message", [
         ("reverse-mc", '{"walks": 1.5}', "walks must be an integer >= 1, got 1.5"),
         ("local-push", '{"epsilon": NaN}', "epsilon must be finite and > 0, got nan"),
-    ], ids=["float-walks", "nan-epsilon"])
+        ("setpush", '{"alpha": "x"}', "alpha must be a real number, got 'x'"),
+        ("setpush", '{"levels_override": 2.5}', "levels_override must be an integer >= 1, got 2.5"),
+        ("setpush", '{"threshold_override": "0.1"}',
+         "threshold_override must be a real number, got '0.1'"),
+        ("setpush", '{"cost_constant": [1]}', "cost_constant must be a real number, got [1]"),
+    ], ids=["float-walks", "nan-epsilon", "str-alpha", "float-levels", "str-threshold",
+            "list-cost-constant"])
     def test_bad_spec_extras(self, runner, tmp_path, estimator, extras, message):
         # Python's json reads NaN, so a spec can carry it to the estimator
         path = tmp_path / "spec.json"

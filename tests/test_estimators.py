@@ -20,7 +20,7 @@ from pushrank.estimators import (
     reverse_mc,
     setpush,
 )
-from pushrank.sampling import RngStream
+from pushrank.sampling import RngStream, skip_sample
 
 from conftest import FP_DUST, clt_band, suite_graphs
 
@@ -205,15 +205,18 @@ class TestSetpushStochastic:
 
 
 def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
-    """The setpush with its own inline skip loop, a bincount switch for
-    large sampling rounds and dense per-level arrays, kept as the reference
-    the shipped setpush (one ``skip_sample`` call per level, frontier-sized
-    arrays) is compared against.  Returns (value, pushes, rng_draws); a
+    """The setpush with dense per-level arrays and a bincount switch for
+    levels with many sampled hits, kept as the reference the shipped
+    setpush (frontier-sized arrays) is compared against.  It draws through
+    ``skip_sample`` and sums the degree-weighted settled mass level by
+    level, as setpush does.  Returns (value, pushes, rng_draws); a
     ``residues`` list receives each level's dense residue vector.
 
-    The switch adds ``threshold * hits`` once where the shipped setpush adds
-    ``threshold`` once per hit, so it can move a residue's last bit;
-    ``bincount_switch=False`` keeps the one-at-a-time order throughout."""
+    The switch tallies a level's hits with one ``bincount`` and then adds
+    ``threshold`` once per hit, layer by layer; ``bincount_switch=False``
+    adds the hits one at a time with ``np.add.at``.  Both give setpush's
+    residues to the bit.  One ``threshold * hits`` product would not: it
+    moves last bits, and a residue that ties prob == 1 then flips branch."""
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
     threshold = (
@@ -225,8 +228,7 @@ def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
     start_draws = rng.draws
     residue = np.zeros(n)
     residue[t] = 1.0
-    settled = np.zeros(n)
-    settled[t] = alpha
+    settled = alpha * np.sum(residue[[t]] / degrees[[t]])
     pushes = 0
     for _ in range(cfg.levels(n)):
         nz = np.flatnonzero(residue > 0.0)
@@ -249,30 +251,21 @@ def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
             pushes += int(lens.sum())
         samp_nodes = nz[~det]
         if samp_nodes.size:
-            log_q = np.log1p(-prob[~det])
-            deg_s = deg_nz[~det]
-            offs_s = offsets[samp_nodes]
-            pos = np.zeros(samp_nodes.size, dtype=np.int64)
-            active = np.arange(samp_nodes.size)
-            while active.size:
-                u = 1.0 - rng.uniforms(active.size)
-                gap_f = np.floor(np.log(u) / log_q[active]) + 1.0
-                remaining = deg_s[active] - pos[active]
-                gap = np.where(gap_f > remaining, remaining + 1, gap_f).astype(np.int64)
-                pos[active] += gap
-                active = active[pos[active] <= deg_s[active]]
-                if active.size:
-                    hit = neighbors[offs_s[active] + pos[active] - 1]
-                    if bincount_switch and active.size > 128:
-                        nxt += threshold * np.bincount(hit, minlength=n)
-                    else:
-                        np.add.at(nxt, hit, threshold)
-                    pushes += active.size
+            owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
+            hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
+            if bincount_switch and hit.size > 128:
+                counts = np.bincount(hit, minlength=n)
+                for j in range(counts.max()):
+                    nxt[counts > j] += threshold
+            else:
+                np.add.at(nxt, hit, threshold)
+            pushes += hit.size
         residue = nxt
-        settled += alpha * residue
+        nz = np.flatnonzero(residue > 0.0)
+        settled += alpha * np.sum(residue[nz] / degrees[nz])
         if residues is not None:
             residues.append(residue)
-    value = float(degrees[t]) / n * float(np.sum(settled / degrees))
+    value = float(degrees[t]) / n * float(settled)
     return value, pushes, rng.draws - start_draws
 
 
@@ -297,8 +290,8 @@ class TestSetpushDifferential:
         assert (est.pushes, est.rng_draws) == (pushes, draws)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
-    # frontiers far below n/8 for many levels: sparse levels, the fold of the
-    # settled pieces, and (power_law) sparse levels after dense ones
+    # frontiers far below n/8 for many levels: sparse levels and
+    # (power_law) sparse levels after dense ones
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from(_SPARSE_FRONTIER),

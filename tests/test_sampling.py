@@ -43,6 +43,34 @@ def _inclusion_masks(owner, position, sets):
     return mask
 
 
+class _RecordingStream(RngStream):
+    """RngStream that also records the size of every uniforms call."""
+
+    def __init__(self, seed, stream_id=0):
+        super().__init__(seed, stream_id)
+        self.calls = []
+
+    def uniforms(self, size):
+        self.calls.append(int(size))
+        return super().uniforms(size)
+
+
+def _block_sizes(size, p, positions):
+    """The uniforms each round of skip_sample draws for one set, derived
+    from that set's output: one in round 1, then 1 + ceil((size - pos) * p)
+    while every gap of the last block landed short of the end."""
+    blocks, taken, block = [], 0, 1
+    while True:
+        blocks.append(block)
+        got = positions[taken : taken + block]
+        taken += len(got)
+        if len(got) < block or got[-1] == size:
+            break
+        block = 1 + math.ceil((size - got[-1]) * p)
+    assert taken == len(positions)
+    return blocks
+
+
 class TestGeometricSkip:
     def test_contract_violations(self):
         r = RngStream(1)
@@ -108,6 +136,83 @@ class TestGeometricSkip:
     def test_tiny_p_no_overflow(self):
         owner, position = skip_sample(np.array([10]), np.array([1e-18]), RngStream(206))
         assert owner.size == position.size == 0
+
+    # the tests below reach the block top-up: sets expecting up to hundreds
+    # of inclusions, drawn in a few rounds of many gaps each
+
+    def test_topup_binomial_counts(self):
+        # Binomial(1000, 0.3) oracle for the per-set count: mean within 3
+        # sigma, and the count histogram by chi-squared at 1e-3
+        d, p, trials = 1000, 0.3, 5000
+        owner, _ = skip_sample(np.full(trials, d), np.full(trials, p), RngStream(207))
+        counts = np.bincount(owner, minlength=trials)
+        assert abs(counts.mean() - d * p) < 3 * math.sqrt(d * p * (1 - p) / trials)
+        pmf = scipy.stats.binom.pmf(np.arange(d + 1), d, p)
+        observed = np.bincount(counts, minlength=d + 1)
+        # pool each tail into its last cell that expects at least 5
+        keep = np.flatnonzero(trials * pmf >= 5)
+        lo, hi = keep[0], keep[-1]
+
+        def pooled(x):
+            return np.concatenate([[x[: lo + 1].sum()], x[lo + 1 : hi], [x[hi:].sum()]])
+
+        expected, got = trials * pooled(pmf), pooled(observed)
+        stat = float(np.sum((got - expected) ** 2 / expected))
+        assert stat < scipy.stats.chi2.ppf(1 - 1e-3, df=expected.size - 1), stat
+
+    def test_topup_marginals(self):
+        # every one of the 1000 positions, first block and top-ups alike, is
+        # included w.p. 0.3: chi-squared over the positions at 1e-3
+        d, p, trials = 1000, 0.3, 5000
+        owner, position = skip_sample(np.full(trials, d), np.full(trials, p), RngStream(208))
+        assert np.all((1 <= position) & (position <= d))
+        hits = np.bincount(position - 1, minlength=d)
+        stat = float(np.sum((hits - trials * p) ** 2 / (trials * p * (1 - p))))
+        assert stat < scipy.stats.chi2.ppf(1 - 1e-3, df=d), stat
+        # and no set includes a position twice
+        assert np.unique(owner * d + position - 1).size == owner.size
+
+    def test_mixed_sizes_and_probs(self):
+        # sizes 1..2000 against p from 1e-4 to 0.9 (paired by a fixed
+        # shuffle), ten copies of each set, plus two sets of 10^12 at 1e-18
+        # and 1e-300, whose gaps overflow int64 unless clamped first
+        kinds = 2000
+        sizes = np.arange(1, kinds + 1)
+        probs = np.random.default_rng(0).permutation(np.geomspace(1e-4, 0.9, kinds))
+        reps = 10
+        all_sizes = np.concatenate([np.tile(sizes, reps), [10**12, 10**12]])
+        all_probs = np.concatenate([np.tile(probs, reps), [1e-18, 1e-300]])
+        rng = _RecordingStream(209)
+        owner, position = skip_sample(all_sizes, all_probs, rng)
+        assert np.all((1 <= position) & (position <= all_sizes[owner]))
+        assert np.all(owner < kinds * reps)
+        # each kind's total over its copies is Binomial(reps*size, p); pool
+        # the kinds into 20 bands of expected count, chi-squared at 1e-3
+        counts = np.bincount(owner % kinds, minlength=kinds)
+        mean = reps * sizes * probs
+        var = mean * (1 - probs)
+        bands = np.array_split(np.argsort(mean), 20)
+        assert min(mean[b].sum() for b in bands) > 20
+        stat = sum((counts[b].sum() - mean[b].sum()) ** 2 / var[b].sum() for b in bands)
+        assert stat < scipy.stats.chi2.ppf(1 - 1e-3, df=len(bands)), stat
+        assert abs(counts.sum() - mean.sum()) < 3 * math.sqrt(var.sum())
+        # positions strictly increase per set in output order, across rounds
+        order = np.argsort(owner, kind="stable")
+        same = owner[order][1:] == owner[order][:-1]
+        assert np.all(np.diff(position[order])[same] > 0)
+        # the draws are exactly the block sizes: one per set in round 1,
+        # then 1 + ceil((size - pos) * p) per set still short of its end
+        per_set = np.split(
+            position[order], np.cumsum(np.bincount(owner, minlength=all_sizes.size))[:-1]
+        )
+        rounds = [
+            _block_sizes(int(all_sizes[i]), float(all_probs[i]), per_set[i].tolist())
+            for i in range(all_sizes.size)
+        ]
+        by_round = [sum(b[r] for b in rounds if len(b) > r) for r in range(max(map(len, rounds)))]
+        assert rng.calls == by_round
+        assert rng.draws == sum(by_round)
+        assert 2 < len(rng.calls) < 10
 
 
 class TestAlphaWalk:
