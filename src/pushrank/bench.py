@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .estimators import ESTIMATORS, Estimate, EstimatorConfig
 from .graph import Graph, generate, load_edge_list
-from .oracle import DENSE_GATE, pagerank
+from .oracle import pagerank
 from .sampling import RngStream
 
 __all__ = [
@@ -249,11 +249,6 @@ def run_experiment(
     parsed = [_split_config(point) for point in spec.configs]
     oracle_vec = None
     if spec.oracle:
-        if g.node_count > DENSE_GATE:
-            raise ValidationError(
-                f"oracle values requested but n={g.node_count} exceeds the "
-                f"dense gate {DENSE_GATE}; rerun with oracle=False"
-            )
         oracle_vec = pagerank(g, _common_alpha([cfg for cfg, _ in parsed]))
 
     targets = select_targets(g, spec.policy)

@@ -14,12 +14,15 @@ testable without wall clocks.
   where PPR mass is reversible).
 * ``forward_mc`` is the classic estimator: walks from uniform sources,
   fraction terminating at the target.
-* ``local_push`` is the deterministic backward push driven by a
-  max-residue priority queue.
+* ``local_push`` is the deterministic backward push, run in rounds that
+  push every node whose residue clears epsilon at once.
+
+Both Monte-Carlo methods run all their walks in one ``alpha_walk_batch``
+call, which draws each walk's length up front and then advances the
+walks still moving as one array, one draw per move.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import numbers
 import time
@@ -131,10 +134,11 @@ class ResidueLevel:
 
 @dataclass
 class LocalPushState:
-    """Live state handed to the local_push step callback.
+    """Live state handed to the local_push step callback once per round.
 
     ``residue`` holds mass still to be pushed, ``reserve`` mass already
-    settled; both are dense arrays the callback must treat as read-only.
+    settled, both as of the end of the round; both are dense arrays the
+    callback must treat as read-only.
     """
 
     residue: np.ndarray
@@ -175,6 +179,38 @@ def _concat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.cumsum(out)
 
 
+def _accumulate(
+    n: int,
+    idx: np.ndarray,
+    weights: np.ndarray,
+    hits: np.ndarray = np.empty(0, dtype=np.int64),
+    hit_weight: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum ``weights`` by node in ``idx``, then add ``hit_weight`` once per
+    entry of ``hits``: (ascending nodes, their sums).
+
+    At most n/8 entries in all go through ``unique`` + ``bincount``, in
+    time proportional to the entries; more go through one length-n
+    ``bincount`` and ``np.add.at``, whose O(n) pass they pay for.  Either
+    way every sum adds its terms in input order, so the result does not
+    depend on which path ran.  Weights must be positive: the dense path
+    keeps the nodes whose sum is.
+    """
+    if 8 * (idx.size + hits.size) <= n:
+        nodes, inv = np.unique(np.concatenate([idx, hits]), return_inverse=True)
+        sums = np.bincount(
+            inv, weights=np.concatenate([weights, np.full(hits.size, hit_weight)])
+        )
+        return nodes, sums
+    if idx.size:
+        acc = np.bincount(idx, weights=weights, minlength=n)
+    else:  # bincount of nothing is an integer array, whatever its weights
+        acc = np.zeros(n)
+    np.add.at(acc, hits, hit_weight)
+    nodes = np.flatnonzero(acc > 0.0)  # a bool mask scans faster than floats
+    return nodes, acc[nodes]
+
+
 def setpush(
     g: Graph,
     t: int,
@@ -197,16 +233,14 @@ def setpush(
     a fixed stream.
 
     The frontier is held as (ascending nodes, residues), so a level costs
-    time in its own pushes, not in n.  A level with at most n/8 increments
-    accumulates them with ``unique`` + ``bincount``; a heavier one uses a
-    dense array (``bincount`` of the deterministic shares, then the
-    sampled hits one at a time).  Every residue receives its increments
-    in the same order on either path, so the result does not depend on
-    which path a level took.  The sampled neighbors of a whole level come
-    from one block-drawn ``skip_sample`` call.  Settled mass is never
-    stored: each level adds alpha * sum(residue / degree) over its own
-    frontier to a scalar, so a query with small frontiers makes no pass
-    over all n nodes.
+    time in its own pushes, not in n: ``_accumulate`` sums a level's
+    increments (the deterministic shares, then the sampled hits) with
+    ``unique`` + ``bincount`` or, on a level with more than n/8 of them,
+    in one dense array, to the same bits.  The sampled neighbors of
+    a whole level come from one block-drawn ``skip_sample`` call.
+    Settled mass is never stored: each level adds alpha * sum(residue /
+    degree) over its own frontier to a scalar, so a query with small
+    frontiers makes no pass over all n nodes.
     """
     g._check_node(t)
     n = g.node_count
@@ -255,21 +289,8 @@ def setpush(
             owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
             hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
 
-        increments = det_idx.size + hit.size
-        pushes += increments
-        if 8 * increments <= n:
-            nodes, inv = np.unique(np.concatenate([det_idx, hit]), return_inverse=True)
-            vals = np.bincount(
-                inv, weights=np.concatenate([det_w, np.full(hit.size, threshold)])
-            )
-        else:
-            if det_idx.size:
-                acc = np.bincount(det_idx, weights=det_w, minlength=n)
-            else:  # bincount of nothing is an integer array, whatever its weights
-                acc = np.zeros(n)
-            np.add.at(acc, hit, threshold)
-            nodes = np.flatnonzero(acc > 0.0)  # a bool mask scans faster than floats
-            vals = acc[nodes]
+        pushes += det_idx.size + hit.size
+        nodes, vals = _accumulate(n, det_idx, det_w, hit, threshold)
         deg_nz = degrees[nodes]
         settled += alpha * np.sum(vals / deg_nz)
         if level_sink is not None:
@@ -375,14 +396,20 @@ def local_push(
     epsilon: float | None = None,
     step_callback: Callable[[LocalPushState], None] | None = None,
 ) -> Estimate:
-    """Deterministic backward push; ``rng`` is accepted for interface
-    uniformity and never used.
+    """Deterministic round-synchronous backward push; ``rng`` is
+    accepted for interface uniformity and never used.
 
-    Pops the largest residue from a lazy max-heap, settles an alpha
-    fraction into the reserve, and spreads the rest to neighbors scaled
-    by the receiver's degree.  Stops when every residue is below
-    epsilon (default c * alpha / n), at which point the reserve average
-    underestimates the true score by at most a factor c of it.
+    Each round pushes, at once, every node whose residue is at least
+    epsilon (default c * alpha / n): it settles an alpha fraction of the
+    node's residue into its reserve and spreads the rest to its
+    neighbors, each share divided by the receiver's degree.  The next
+    round's nodes are this round's receivers that now hold epsilon or
+    more, so a round costs time in its own pushes.  It stops when every
+    residue is below epsilon, at which point the reserve average
+    underestimates the true score by at most a factor c of it; that
+    guarantee does not depend on push order (Andersen, Borgs, Chayes,
+    Hopcroft, Mirrokni & Teng, WAW 2007).  ``step_callback`` sees the
+    state after every round.
     """
     g._check_node(t)
     n = g.node_count
@@ -397,25 +424,20 @@ def local_push(
     residue = np.zeros(n)
     reserve = np.zeros(n)
     residue[t] = 1.0
-    heap: list[tuple[float, int]] = []
-    if residue[t] >= eps:
-        heap.append((-1.0, t))
+    active = np.array([t] if residue[t] >= eps else [], dtype=np.int64)
     state = LocalPushState(residue, reserve, eps) if step_callback else None
     pushes = 0
 
-    while heap:
-        neg, u = heapq.heappop(heap)
-        if residue[u] != -neg or residue[u] < eps:
-            continue  # stale entry
-        mass = residue[u]
-        residue[u] = 0.0
-        reserve[u] += alpha * mass
-        nbrs = neighbors[offsets[u] : offsets[u + 1]]
-        residue[nbrs] += (1.0 - alpha) * mass / degrees[nbrs]
-        pushes += nbrs.shape[0]
-        hot = nbrs[residue[nbrs] >= eps]
-        for w, val in zip(hot.tolist(), residue[hot].tolist()):
-            heapq.heappush(heap, (-val, w))
+    while active.size:
+        mass = residue[active]
+        residue[active] = 0.0
+        reserve[active] += alpha * mass
+        lens = degrees[active]
+        receivers = neighbors[_concat_slices(offsets[active], lens)]
+        pushes += receivers.size
+        nodes, inc = _accumulate(n, receivers, np.repeat((1.0 - alpha) * mass, lens))
+        residue[nodes] += inc / degrees[nodes]
+        active = nodes[residue[nodes] >= eps]
         if state is not None:
             step_callback(state)
 

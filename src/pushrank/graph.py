@@ -130,9 +130,16 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.node_count == other.node_count and np.array_equal(
-            self._labeled_edges(), other._labeled_edges()
-        )
+        if self.node_count != other.node_count:
+            return False
+        # the same labels in the same internal order need no edge sort
+        if (
+            np.array_equal(self.original_ids, other.original_ids)
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.neighbors, other.neighbors)
+        ):
+            return True
+        return np.array_equal(self._labeled_edges(), other._labeled_edges())
 
     def __hash__(self):
         return hash((self.node_count, self.edge_count, self._labeled_edges().tobytes()))

@@ -143,30 +143,42 @@ def alpha_walk_batch(
     """Independent discounted walks, one per start: each step stops
     with probability alpha, otherwise moves to a uniform random neighbor.
 
-    All live walks advance together, one stop draw each per step and one
-    neighbor draw per mover.  Returns (terminals aligned with starts,
+    Each walk's move count is drawn up front by inversion,
+    floor(ln U / ln(1 - alpha)) with U = 1 - uniform in (0, 1]: the
+    Geometric law of a per-step stop coin, for one draw per walk.  The
+    walks are stable-sorted by descending length, so the walks still
+    moving at step s are a prefix of the sorted array; that prefix
+    advances in place, one neighbor draw per move.  A walk therefore
+    costs 1 + moves draws.  Returns (terminals aligned with starts,
     total moves); expected moves per walk are 1/alpha - 1.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    cur = np.asarray(starts, dtype=np.int64).copy()
+    starts = np.asarray(starts, dtype=np.int64)
+    u = rng.uniforms(starts.shape[0])
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, np.log1p(-alpha), out=u)
+    lengths = np.floor(u, out=u).astype(np.int64)
+    longest = int(lengths.max(initial=0))
+    # a radix sort on a 16-bit key is several times faster than on int64
+    key = np.negative(lengths, dtype=np.int16 if longest < 1 << 15 else np.int64)
+    order = np.argsort(key, kind="stable")
+    cur = starts[order]
+    # moving[s]: the walks with more than s moves, a prefix of cur
+    moving = starts.shape[0] - np.cumsum(np.bincount(lengths, minlength=longest + 1))
+    for k in moving[:longest].tolist():
+        c = cur[:k]
+        d = degrees[c]
+        j = (rng.uniforms(k) * d).astype(np.int64)
+        d -= 1
+        np.minimum(j, d, out=j)  # u * d can round up to d
+        j += offsets[c]
+        np.take(neighbors, j, out=c)
     terminals = np.empty_like(cur)
-    alive = np.arange(cur.shape[0], dtype=np.int64)
-    moves = 0
-    while alive.size:
-        k = alive.size
-        stop = rng.uniforms(k) < alpha
-        stopped = alive[stop]
-        terminals[stopped] = cur[stopped]
-        movers = alive[~stop]
-        if movers.size:
-            d = degrees[cur[movers]]
-            j = np.minimum((rng.uniforms(movers.size) * d).astype(np.int64), d - 1)
-            cur[movers] = neighbors[offsets[cur[movers]] + j]
-            moves += movers.size
-        alive = movers
-    return terminals, moves
+    terminals[order] = cur
+    return terminals, int(lengths.sum())
 
 
 def median_of_means(estimates: Sequence[float] | np.ndarray, groups: int) -> float:

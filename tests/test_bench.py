@@ -72,11 +72,13 @@ class TestRunExperiment:
         for rec in records:
             assert rec.oracle_value == pytest.approx(1 / 16, abs=1e-10)
 
-    def test_oracle_gate(self):
-        spec = spec_complete16(graph="gen:ring:10001")
-        with pytest.raises(ValidationError, match="dense gate"):
-            bench.run_experiment(spec)
-        spec = spec_complete16(graph="gen:ring:10001", oracle=False)
+    def test_oracle_values_past_dense_vector_gate(self):
+        # the oracle column comes from the sparse pagerank, so n above the
+        # dense vector gate (10^4) still gets it
+        spec = spec_complete16(graph="gen:ring:20000", repetitions=1)
+        for rec in bench.run_experiment(spec):
+            assert rec.oracle_value == pytest.approx(1 / 20000, rel=1e-9)
+        spec = spec_complete16(graph="gen:ring:20000", repetitions=1, oracle=False)
         records = bench.run_experiment(spec)
         assert records[0].oracle_value is None
 

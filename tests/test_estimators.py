@@ -444,6 +444,18 @@ class TestLocalPush:
         local_push(g, t, EstimatorConfig(), step_callback=on_step)
         assert steps > 1
 
+    def test_rounds_end_with_every_residue_below_epsilon(self, suite):
+        for name, g in suite:
+            states = []
+            local_push(
+                g, 0, EstimatorConfig(),
+                step_callback=lambda s: states.append((s.residue.max(), s.epsilon)),
+            )
+            # a round runs only while some residue reaches epsilon
+            assert all(top >= eps for top, eps in states[:-1]), name
+            top, eps = states[-1]
+            assert top < eps, name
+
     def test_deterministic_without_rng(self):
         g = pg.power_law(200, 2.5, 6)
         a = local_push(g, 0, EstimatorConfig())

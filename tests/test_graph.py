@@ -158,6 +158,26 @@ class TestAccessors:
         with pytest.raises(ValueError):
             g.neighbors[0] = 5
 
+    def test_equality_across_internal_order(self):
+        # equality is over labeled edges: a copy with the same arrays takes
+        # the array compare, a relabeled one the edge sort
+        g = pg.power_law(300, 2.5, 42)
+        copy = pg.Graph(g.offsets.copy(), g.neighbors.copy(), g.original_ids.copy())
+        assert copy == g and hash(copy) == hash(g)
+        perm = np.random.default_rng(7).permutation(g.node_count)  # old id -> new id
+        old = np.argsort(perm)  # new id -> old id
+        relabeled = pg.Graph(
+            np.concatenate([[0], np.cumsum(g.degrees[old])]),
+            np.concatenate([np.sort(perm[g.neighbor_list(int(u))]) for u in old]),
+            g.original_ids[old],
+        )
+        pg.check_invariants(relabeled)
+        assert not np.array_equal(relabeled.neighbors, g.neighbors)
+        assert relabeled == g and hash(relabeled) == hash(g)
+        other_labels = pg.Graph(g.offsets, g.neighbors, g.original_ids + 1)
+        assert other_labels != g
+        assert pg.Graph(relabeled.offsets, relabeled.neighbors, g.original_ids) != g
+
 
 class TestInvariants:
     def test_suite_symmetry_and_degree_sum(self, suite):

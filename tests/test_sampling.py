@@ -215,6 +215,24 @@ class TestGeometricSkip:
         assert 2 < len(rng.calls) < 10
 
 
+class _ScriptedStream(RngStream):
+    """RngStream whose first uniforms call returns ``first`` and every
+    later call zeros: each walk gets a chosen length and always moves to
+    its first (lowest-id) neighbor."""
+
+    def __init__(self, first):
+        super().__init__(0)
+        self.first = np.asarray(first, dtype=np.float64)
+
+    def uniforms(self, size):
+        self.draws += int(size)
+        if self.first is None:
+            return np.zeros(size)
+        out, self.first = self.first, None
+        assert out.size == size
+        return out
+
+
 class TestAlphaWalk:
     def test_terminal_distribution_k2(self):
         # oracle: closed-form PPR on two nodes, 5/9 stay / 4/9 cross
@@ -253,6 +271,46 @@ class TestAlphaWalk:
     def test_alpha_validation(self):
         with pytest.raises(ValidationError):
             alpha_walk_batch(pg.complete(2), np.zeros(1, dtype=np.int64), 1.0, RngStream(0))
+
+    def test_draws_one_per_walk_plus_one_per_move(self):
+        g = pg.power_law(500, 2.5, 11)
+        starts = np.arange(20_000, dtype=np.int64) % g.node_count
+        rng = RngStream(311)
+        _, moves = alpha_walk_batch(g, starts, 0.2, rng)
+        assert moves > 0
+        assert rng.draws == starts.size + moves
+
+    def test_terminals_aligned_with_starts(self):
+        # ring(10) is bipartite by parity; a walk ends on its start's side
+        # iff it moves an even number of times, with P = 1 / (2 - alpha).
+        # Terminals handed back out of start order would land near 1/2.
+        g = pg.ring(10)
+        trials = 100_000
+        starts = np.arange(trials, dtype=np.int64) % 10
+        terms, _ = alpha_walk_batch(g, starts, 0.2, RngStream(312))
+        same_side = terms % 2 == starts % 2
+        p = 1 / (2 - 0.2)
+        for side in (0, 1):
+            mine = same_side[starts % 2 == side]
+            assert abs(mine.mean() - p) < 3 * math.sqrt(p * (1 - p) / mine.size)
+
+    def test_empty_starts(self):
+        rng = RngStream(313)
+        terms, moves = alpha_walk_batch(pg.ring(6), np.empty(0, dtype=np.int64), 0.2, rng)
+        assert terms.shape == (0,) and moves == 0 and rng.draws == 0
+
+    def test_walks_of_2_15_moves_or_more(self):
+        # lengths past 2^15 - 1 do not fit a 16-bit sort key.  On a path,
+        # a walk that always takes its first neighbor steps down one id
+        # per move, so each terminal is its start minus its length.
+        alpha = 1e-4
+        lengths = np.array([40_000, 3, 0, 1 << 15, 5, (1 << 15) - 1])
+        rng = _ScriptedStream(1.0 - (1.0 - alpha) ** (lengths + 0.5))
+        starts = np.full(lengths.size, 45_000, dtype=np.int64)
+        terms, moves = alpha_walk_batch(pg.path(50_000), starts, alpha, rng)
+        assert moves == lengths.sum()
+        assert terms.tolist() == (starts - lengths).tolist()
+        assert rng.draws == lengths.size + moves
 
 
 class TestMedianOfMeans:
