@@ -32,7 +32,7 @@ from .bench import (
 from .errors import ContractViolationError, PushrankError, ValidationError
 from .estimators import ESTIMATORS, EstimatorConfig, amplified, default_groups
 from .graph import check_invariants, dump_edge_list, generate
-from .oracle import build_tables, write_csv
+from .oracle import pagerank, truncated_pagerank, truncation_levels, write_csv
 from .sampling import RngStream
 
 _METHODS = sorted(ESTIMATORS)
@@ -150,9 +150,9 @@ def query(graph, genspec, target, method, alpha, c, pf, seed, theta, walks, reps
 def oracle(graph, genspec, alpha, c, out):
     """Exact PageRank and truncated PageRank as CSV."""
     g = _load(graph, genspec)
-    tables = build_tables(g, alpha, c)
+    truncated = truncated_pagerank(g, alpha, truncation_levels(g.node_count, alpha, c))
     buf = io.StringIO()
-    write_csv(buf, g, tables.pagerank, tables.truncated)
+    write_csv(buf, g, pagerank(g, alpha), truncated)
     if out is None:
         click.echo(buf.getvalue(), nl=False)
     else:

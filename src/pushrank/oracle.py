@@ -1,12 +1,14 @@
-"""Exact reference computations on small graphs.
+"""Exact reference computations.
 
-Everything here is dense and deterministic: full PageRank by power
-iteration, per-hop personalized-PageRank tables, the truncated PageRank
-they sum to, and single-source PPR vectors.  These are the ground truth
-the estimators' statistical contracts are tested against, not a scalable
-product path.  The per-hop tables take (levels+1) * n^2 * 8 bytes and are
-gated at 1 GiB (n <= 1562 at the default alpha 0.2 and c 0.1); dense
-single-source vectors are gated at n <= 10^4.
+Everything here is deterministic: full PageRank by power iteration, the
+truncated PageRank, per-hop personalized-PageRank tables and
+single-source PPR vectors.  These are the ground truth the estimators'
+statistical contracts are tested against.  PageRank and the truncated
+vector are sparse recursions costing O(m) per iteration or level, with no
+size gate.  Only the tables and the PPR vectors are dense: the per-hop
+tables take (levels+1) * n^2 * 8 bytes and are gated at 1 GiB (n <= 1562
+at the default alpha 0.2 and c 0.1); single-source vectors are gated at
+n <= 10^4.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ __all__ = [
     "TABLE_BYTES_GATE",
     "truncation_levels",
     "pagerank",
+    "truncated_pagerank",
     "lhop_ppr_tables",
     "build_tables",
     "ppr_vector",
@@ -46,7 +49,8 @@ class OracleTables:
 
     ``lhop_ppr[l][s][t]`` is the probability that a discounted walk from
     s terminates at t at exactly step l; ``truncated`` sums those over
-    l <= hop_limit and averages over sources.
+    l <= hop_limit and averages over sources.  ``lhop_ppr`` is the
+    non-contiguous transposed view that ``lhop_ppr_tables`` returns.
     """
 
     pagerank: np.ndarray
@@ -61,19 +65,23 @@ def truncation_levels(n: int, alpha: float, c: float) -> int:
 
     Rounding up only tightens the truncation bound.
     """
+    _check_alpha(alpha)
+    if not 0.0 < c < math.inf:
+        raise ValidationError(f"relative error c must be finite and > 0, got {c}")
     ratio = c * alpha / (2.0 * n)
     if ratio >= 1.0:
         return 1
     return max(1, math.ceil(math.log(ratio) / math.log1p(-alpha)))
 
 
-def _adjacency(g: Graph) -> sp.csr_matrix:
+def _walk_matrix(g: Graph) -> sp.csr_matrix:
+    """The column-stochastic walk operator as CSR: row v holds
+    walk[v, u] = 1/d_u for every u in N(v), in ascending u."""
     import scipy.sparse as sp  # deferred: it about doubles the CLI start-up, and only this needs it
 
     n = g.node_count
-    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
-    data = np.ones(g.neighbors.shape[0], dtype=np.float64)
-    return sp.csr_matrix((data, (src, g.neighbors)), shape=(n, n))
+    inv_deg = 1.0 / g.degrees
+    return sp.csr_matrix((inv_deg[g.neighbors], g.neighbors, g.offsets), shape=(n, n))
 
 
 def _push_forward(g: Graph, x: np.ndarray) -> np.ndarray:
@@ -109,15 +117,30 @@ def pagerank(
     return x
 
 
+def truncated_pagerank(g: Graph, alpha: float, levels: int) -> np.ndarray:
+    """Truncated PageRank, the sum over l <= levels of x_l, where
+    x_0 = alpha/n everywhere and x_{l+1} = (1-alpha) * walk x_l: the
+    per-hop tables summed over levels and averaged over sources, in
+    O(levels * m) time and O(n) memory."""
+    _check_levels(alpha, levels)
+    x = np.full(g.node_count, alpha / g.node_count)
+    acc = x.copy()
+    for _ in range(levels):
+        x = (1.0 - alpha) * _push_forward(g, x)
+        acc += x
+    return acc
+
+
 def lhop_ppr_tables(g: Graph, alpha: float, levels: int) -> np.ndarray:
-    """Dense (levels+1, n, n) array of per-hop PPR values.
+    """Dense (levels+1, n, n) array of per-hop PPR values, [l][s][t].
 
     Level 0 is alpha * I; each next level applies the one-hop recursion
-    out[t, v] = (1-alpha) * sum over u in N(v) of prev[t, u] / d_u.
+    out[s, v] = (1-alpha) * sum over u in N(v) of prev[s, u] / d_u.  The
+    tables are built transposed, as [l][t][s], so that a level is one
+    sparse product walk @ prev with no transposed copies; the result is
+    the non-contiguous view ``.transpose(0, 2, 1)`` of that array.
     """
-    _check_alpha(alpha)
-    if levels < 0:
-        raise ValidationError("levels must be >= 0")
+    _check_levels(alpha, levels)
     n = g.node_count
     nbytes = (levels + 1) * n * n * 8
     if nbytes > TABLE_BYTES_GATE:
@@ -126,26 +149,22 @@ def lhop_ppr_tables(g: Graph, alpha: float, levels: int) -> np.ndarray:
             f"{nbytes / 2**30:.2f} GiB, over the {TABLE_BYTES_GATE / 2**30:.0f} GiB "
             "gate; use the estimators for larger graphs"
         )
-    adj = _adjacency(g)
-    inv_deg = 1.0 / g.degrees
-    tables = np.zeros((levels + 1, n, n))
-    tables[0] = alpha * np.eye(n)
+    walk = _walk_matrix(g)
+    hops = np.zeros((levels + 1, n, n))
+    np.fill_diagonal(hops[0], alpha)
     for level in range(levels):
-        scaled = tables[level] * inv_deg[None, :]
-        tables[level + 1] = (1.0 - alpha) * (scaled @ adj)
-    return tables
+        np.multiply(walk @ hops[level], 1.0 - alpha, out=hops[level + 1])
+    return hops.transpose(0, 2, 1)
 
 
 def build_tables(g: Graph, alpha: float, c: float) -> OracleTables:
     """Tables for the hop cutoff implied by (alpha, c), plus ground-truth
     PageRank and the truncated vector."""
     levels = truncation_levels(g.node_count, alpha, c)
-    lhop = lhop_ppr_tables(g, alpha, levels)
-    truncated = lhop.sum(axis=(0, 1)) / g.node_count
     return OracleTables(
         pagerank=pagerank(g, alpha),
-        lhop_ppr=lhop,
-        truncated=truncated,
+        lhop_ppr=lhop_ppr_tables(g, alpha, levels),
+        truncated=truncated_pagerank(g, alpha, levels),
         alpha=alpha,
         hop_limit=levels,
     )
@@ -180,8 +199,7 @@ def ppr_matrix(g: Graph, alpha: float) -> np.ndarray:
     n = g.node_count
     if n > 2000:
         raise CapacityError(f"dense PPR matrix gated at n <= 2000 (got {n})")
-    dense = _adjacency(g).toarray()
-    walk_op = dense * (1.0 / g.degrees)[None, :]  # [v, u] = A[v,u] / d_u
+    walk_op = _walk_matrix(g).toarray()
     return np.linalg.solve(np.eye(n) - (1.0 - alpha) * walk_op, alpha * np.eye(n))
 
 
@@ -205,3 +223,9 @@ def write_csv(
 def _check_alpha(alpha: float) -> None:
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
+
+
+def _check_levels(alpha: float, levels: int) -> None:
+    _check_alpha(alpha)
+    if levels < 0:
+        raise ValidationError("levels must be >= 0")

@@ -168,12 +168,14 @@ def alpha_walk_batch(
     cur = starts[order]
     # moving[s]: the walks with more than s moves, a prefix of cur
     moving = starts.shape[0] - np.cumsum(np.bincount(lengths, minlength=longest + 1))
+    # floor(u * d) <= d - 1 holds with no clamp.  A uniform is at most
+    # 1 - 2^-53, so the exact u * d is below d by at least d * 2^-53.  That
+    # is more than half the float spacing just below d (exactly that
+    # spacing when d is a power of two), so for d < 2^53 the product rounds
+    # to a float below d.
     for k in moving[:longest].tolist():
         c = cur[:k]
-        d = degrees[c]
-        j = (rng.uniforms(k) * d).astype(np.int64)
-        d -= 1
-        np.minimum(j, d, out=j)  # u * d can round up to d
+        j = (rng.uniforms(k) * degrees[c]).astype(np.int64)
         j += offsets[c]
         np.take(neighbors, j, out=c)
     terminals = np.empty_like(cur)

@@ -5,6 +5,7 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+from pushrank import oracle
 from pushrank.cli import main
 
 
@@ -107,9 +108,25 @@ class TestOracleCmd:
         for row in res.output.strip().splitlines()[1:]:
             assert float(row.split(",")[1]) == pytest.approx(0.25, abs=1e-12)
 
-    def test_gate_exceeded_exit_code(self, runner):
-        res = runner.invoke(main, ["oracle", "--gen", "ring:10001"])
-        assert res.exit_code == 1
+    def test_ring_past_table_gate(self, runner):
+        # no dense tables: on a ring every node has pagerank 1/n, and the
+        # truncated value is the geometric sum over levels 0..L, over n
+        n, alpha = 10_001, 0.2
+        res = invoke(runner, "oracle", "--gen", f"ring:{n}")
+        assert res.exit_code == 0
+        rows = [line.split(",") for line in res.output.strip().splitlines()[1:]]
+        assert len(rows) == n
+        levels = oracle.truncation_levels(n, alpha, 0.1)
+        truncated = (1 - (1 - alpha) ** (levels + 1)) / n
+        for row in rows:
+            assert float(row[1]) == pytest.approx(1 / n, rel=1e-12, abs=0)
+            assert float(row[2]) == pytest.approx(truncated, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("flag", [("--c", "0"), ("--c", "nan"), ("--alpha", "1.5")])
+    def test_bad_parameters_exit_code(self, runner, flag):
+        res = runner.invoke(main, ["oracle", "--gen", "k2", *flag])
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: ")
 
     def test_out_file(self, runner, tmp_path):
         out = tmp_path / "o.csv"

@@ -2,12 +2,37 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pushrank import graph as pg
 from pushrank import oracle
 from pushrank.errors import CapacityError, ValidationError
 
 A = 0.2
+ALPHAS = (0.05, 0.2, 0.5)
+
+
+def _reference_levels(g, alpha, levels):
+    """Yield the per-hop tables level by level, [s][t], by the dense @
+    sparse recursion over an unweighted adjacency: the earlier oracle,
+    frozen as the bit-exact reference."""
+    n = g.node_count
+    src = np.repeat(np.arange(n, dtype=np.int64), g.degrees)
+    adj = sp.csr_matrix((np.ones(src.size), (src, g.neighbors)), shape=(n, n))
+    inv_deg = 1.0 / g.degrees
+    table = alpha * np.eye(n)
+    yield table
+    for _ in range(levels):
+        table = (1.0 - alpha) * ((table * inv_deg[None, :]) @ adj)
+        yield table
+
+
+def _reference_ppr_matrix(g, alpha):
+    n = g.node_count
+    dense = np.zeros((n, n))
+    dense[np.repeat(np.arange(n), g.degrees), g.neighbors] = 1.0
+    walk_op = dense * (1.0 / g.degrees)[None, :]
+    return np.linalg.solve(np.eye(n) - (1.0 - alpha) * walk_op, alpha * np.eye(n))
 
 
 class TestPowerMethod:
@@ -84,6 +109,17 @@ class TestLhopTables:
             )
             assert np.max(np.abs(nxt - t[lvl + 1])) < 1e-12
 
+    def test_bit_identical_to_reference(self, suite):
+        graphs = suite + [("pl1000", pg.generate("power_law:1000:2.5:13"))]
+        for name, g in graphs:
+            for alpha in ALPHAS if g.node_count <= 200 else (A,):
+                levels = oracle.truncation_levels(g.node_count, alpha, 0.1)
+                t = oracle.lhop_ppr_tables(g, alpha, levels)
+                assert t.shape == (levels + 1, g.node_count, g.node_count)
+                for lvl, ref in enumerate(_reference_levels(g, alpha, levels)):
+                    assert np.array_equal(t[lvl], ref), (name, alpha, lvl)
+                del t
+
     def test_dense_gate(self):
         # gated on the bytes the tables take, (levels+1) * n^2 * 8 <= 1 GiB
         g = pg.ring(10_001)
@@ -115,6 +151,29 @@ class TestTruncated:
         pi = oracle.pagerank(g, A)
         deep = oracle.lhop_ppr_tables(g, A, 140).sum(axis=(0, 1)) / 6
         assert np.max(np.abs(deep - pi)) < 1e-12
+        assert np.max(np.abs(oracle.truncated_pagerank(g, A, 140) - pi)) < 1e-12
+
+    def test_vector_equals_table_average(self, suite):
+        # the recursion on the uniform start against the tables summed
+        # over levels and averaged over sources
+        for name, g in suite:
+            n = g.node_count
+            for alpha in ALPHAS:
+                levels = oracle.truncation_levels(n, alpha, 0.1)
+                expect = oracle.lhop_ppr_tables(g, alpha, levels).sum(axis=(0, 1)) / n
+                got = oracle.truncated_pagerank(g, alpha, levels)
+                assert np.max(np.abs(got - expect) / expect) < 1e-12, (name, alpha)
+
+    def test_validation(self):
+        with pytest.raises(ValidationError):
+            oracle.truncated_pagerank(pg.complete(2), A, -1)
+        with pytest.raises(ValidationError):
+            oracle.truncated_pagerank(pg.complete(2), 1.0, 3)
+        for c in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                oracle.truncation_levels(10, A, c)
+        with pytest.raises(ValidationError):
+            oracle.truncation_levels(10, 1.5, 0.1)
 
 
 class TestPprVector:
@@ -137,6 +196,12 @@ class TestPprVector:
         mat = oracle.ppr_matrix(g, A)
         for s in (0, 7, 29):
             assert np.max(np.abs(mat[:, s] - oracle.ppr_vector(g, s, A))) < 1e-10
+
+    def test_matrix_bit_identical_to_reference(self, suite):
+        for name, g in suite:
+            for alpha in ALPHAS:
+                ref = _reference_ppr_matrix(g, alpha)
+                assert np.array_equal(oracle.ppr_matrix(g, alpha), ref), (name, alpha)
 
     def test_reversibility(self):
         g = pg.power_law(50, 2.5, 8)

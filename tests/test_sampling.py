@@ -217,17 +217,19 @@ class TestGeometricSkip:
 
 class _ScriptedStream(RngStream):
     """RngStream whose first uniforms call returns ``first`` and every
-    later call zeros: each walk gets a chosen length and always moves to
-    its first (lowest-id) neighbor."""
+    later call ``rest``: each walk gets a chosen length and always moves to
+    the same rank of neighbor, its first (lowest-id) one for the default
+    ``rest`` of 0."""
 
-    def __init__(self, first):
+    def __init__(self, first, rest=0.0):
         super().__init__(0)
         self.first = np.asarray(first, dtype=np.float64)
+        self.rest = rest
 
     def uniforms(self, size):
         self.draws += int(size)
         if self.first is None:
-            return np.zeros(size)
+            return np.full(size, self.rest)
         out, self.first = self.first, None
         assert out.size == size
         return out
@@ -311,6 +313,20 @@ class TestAlphaWalk:
         assert moves == lengths.sum()
         assert terms.tolist() == (starts - lengths).tolist()
         assert rng.draws == lengths.size + moves
+
+    def test_largest_uniform_picks_last_neighbor(self):
+        # the kernel takes floor(u * d) unclamped; the largest uniform,
+        # 1 - 2^-53, must still give rank d - 1 for every degree
+        top = np.nextafter(1.0, 0.0)
+        for lo in range(1, 1 << 24, 1 << 20):
+            d = np.arange(lo, min(lo + (1 << 20), 1 << 24), dtype=np.int64)
+            assert np.array_equal((top * d).astype(np.int64), d - 1), lo
+        # one move from the center of star(n) lands on its last leaf
+        n = 70_001
+        lengths = np.array([1, 1])
+        rng = _ScriptedStream(1.0 - (1.0 - 0.2) ** (lengths + 0.5), rest=top)
+        terms, _ = alpha_walk_batch(pg.star(n), np.zeros(2, dtype=np.int64), 0.2, rng)
+        assert terms.tolist() == [n - 1, n - 1]
 
 
 class TestMedianOfMeans:
