@@ -14,16 +14,18 @@ config index, repetition index) runs on RngStream(spec.seed, i).
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import IO, Sequence
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .estimators import ESTIMATORS, Estimate, EstimatorConfig
+from .estimators import ESTIMATORS, Estimate, EstimatorConfig, _check_int
 from .graph import Graph, generate, load_edge_list
 from .oracle import pagerank
 from .sampling import RngStream
@@ -48,15 +50,12 @@ SCHEMA_VERSION = 1
 # degree bands relative to the average degree, widest first
 _BAND_EDGES = [(100.0, math.inf), (10.0, 100.0), (1.0, 10.0), (0.1, 1.0), (0.01, 0.1)]
 
-_CONFIG_FIELDS = {
-    "alpha",
-    "c",
-    "failure_prob",
-    "threshold_override",
-    "levels_override",
-    "cost_constant",
-}
-_EXTRA_FIELDS = {"walks", "epsilon"}
+_CONFIG_FIELDS = {f.name for f in fields(EstimatorConfig)}
+
+
+def _extra_fields(estimator: str) -> set[str]:
+    """The keyword parameters an estimator takes after (g, t, cfg, rng)."""
+    return set(list(inspect.signature(ESTIMATORS[estimator]).parameters)[4:])
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,8 @@ class TargetPolicy:
     def __post_init__(self):
         if self.kind not in ("uniform", "degree_weighted", "degree_buckets"):
             raise ValidationError(f"unknown target policy {self.kind!r}")
-        if self.count < 1:
-            raise ValidationError("target count must be >= 1")
+        _check_int("target count", self.count, 1)
+        _check_int("target policy seed", self.seed, 0)  # numpy's default_rng needs >= 0
 
 
 @dataclass
@@ -94,18 +93,29 @@ class ExperimentSpec:
     oracle: bool = True
 
     def __post_init__(self):
-        if self.estimator not in ESTIMATORS:
+        if not isinstance(self.graph, str):
+            raise ValidationError(f"graph must be a string, got {self.graph!r}")
+        if not isinstance(self.estimator, str) or self.estimator not in ESTIMATORS:
             raise ValidationError(
                 f"unknown estimator {self.estimator!r}; choose from {sorted(ESTIMATORS)}"
             )
-        if self.repetitions < 1:
-            raise ValidationError("repetitions must be >= 1")
-        if not self.configs:
-            raise ValidationError("config grid must be nonempty")
+        _check_int("repetitions", self.repetitions, 1)
+        # any integer: RngStream folds the seed into 64 bits
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral):
+            raise ValidationError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.oracle, bool):  # a JSON "no" would be truthy
+            raise ValidationError(f"oracle must be true or false, got {self.oracle!r}")
+        if not isinstance(self.configs, list) or not self.configs:
+            raise ValidationError("config grid must be a nonempty list")
+        allowed = _CONFIG_FIELDS | _extra_fields(self.estimator)
         for cfg in self.configs:
-            unknown = set(cfg) - _CONFIG_FIELDS - _EXTRA_FIELDS
+            if not isinstance(cfg, dict):
+                raise ValidationError(f"each config must be an object, got {cfg!r}")
+            unknown = set(cfg) - allowed
             if unknown:
-                raise ValidationError(f"unknown config keys {sorted(unknown)}")
+                raise ValidationError(
+                    f"unknown config keys {sorted(unknown)} for {self.estimator}"
+                )
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":
@@ -231,7 +241,7 @@ def load_graph_source(source: str) -> Graph:
 
 def _split_config(point: dict) -> tuple[EstimatorConfig, dict]:
     cfg_kwargs = {k: v for k, v in point.items() if k in _CONFIG_FIELDS}
-    extras = {k: v for k, v in point.items() if k in _EXTRA_FIELDS}
+    extras = {k: v for k, v in point.items() if k not in _CONFIG_FIELDS}
     return EstimatorConfig(**cfg_kwargs), extras
 
 

@@ -39,8 +39,6 @@ from .sampling import RngStream, alpha_walk_batch, median_of_means, skip_sample
 __all__ = [
     "EstimatorConfig",
     "Estimate",
-    "ResidueLevel",
-    "LocalPushState",
     "compute_threshold",
     "setpush",
     "reverse_mc",
@@ -124,36 +122,6 @@ class Estimate:
     derived: dict = field(default_factory=dict)
 
 
-@dataclass
-class ResidueLevel:
-    """Sparse view of one hop level's residue mass (absent == zero)."""
-
-    level: int
-    entries: dict[int, float]
-
-
-@dataclass
-class LocalPushState:
-    """Live state handed to the local_push step callback once per round.
-
-    ``residue`` holds mass still to be pushed, ``reserve`` mass already
-    settled, both as of the end of the round; both are dense arrays the
-    callback must treat as read-only.
-    """
-
-    residue: np.ndarray
-    reserve: np.ndarray
-    epsilon: float
-
-    def residue_entries(self) -> dict[int, float]:
-        nz = np.flatnonzero(self.residue)
-        return {int(u): float(self.residue[u]) for u in nz}
-
-    def reserve_entries(self) -> dict[int, float]:
-        nz = np.flatnonzero(self.reserve)
-        return {int(u): float(self.reserve[u]) for u in nz}
-
-
 def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
     """Default push threshold for ``setpush``.
 
@@ -211,65 +179,28 @@ def _accumulate(
     return nodes, acc[nodes]
 
 
-def setpush(
-    g: Graph,
-    t: int,
-    cfg: EstimatorConfig,
-    rng: RngStream,
-    level_sink: Callable[[ResidueLevel], None] | None = None,
-) -> Estimate:
-    """Randomized backward set-push estimate of node t's PageRank.
+def _setpush_levels(
+    g: Graph, t: int, cfg: EstimatorConfig, threshold: float, rng: RngStream
+):
+    """setpush's hop levels, one at a time: yields (ascending nodes, their
+    residues, their degrees, pushes made) for level 0, which is the
+    target's unit residue with no pushes, and then for every later level
+    up to ``cfg.levels(n)`` or the first empty one, which is yielded too.
 
-    Starts with unit residue at the target and, for each hop level, either
-    pushes a node's discounted residue share to every neighbor (when the
-    share clears threshold * degree) or Bernoulli-samples neighbors via
-    geometric skips and credits them a full threshold each.  The settled
-    mass, degree-reweighted, estimates the truncated PageRank, which is
-    within c/2 relative error of the true score by construction of the
-    hop cutoff.
-
-    ``pushes`` counts every residue increment.  Iteration over nonzero
-    residues is in ascending node order so runs are bit-reproducible for
-    a fixed stream.
-
-    The frontier is held as (ascending nodes, residues), so a level costs
-    time in its own pushes, not in n: ``_accumulate`` sums a level's
-    increments (the deterministic shares, then the sampled hits) with
-    ``unique`` + ``bincount`` or, on a level with more than n/8 of them,
-    in one dense array, to the same bits.  The sampled neighbors of
-    a whole level come from one block-drawn ``skip_sample`` call.
-    Settled mass is never stored: each level adds alpha * sum(residue /
-    degree) over its own frontier to a scalar, so a query with small
-    frontiers makes no pass over all n nodes.
+    The arrays are the frontier the next level is pushed from; callers
+    read them and must not write to them.
     """
-    g._check_node(t)
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    levels = cfg.levels(n)
-    threshold = (
-        cfg.threshold_override
-        if cfg.threshold_override is not None
-        else compute_threshold(g, t, cfg)
-    )
-    if threshold <= 0.0:
-        raise ConfigError(f"push threshold must be > 0, got {threshold}")
-
     alpha = cfg.alpha
-    start_draws = rng.draws
-    t0 = time.perf_counter_ns()
-
     nodes = np.array([t], dtype=np.int64)
     vals = np.array([1.0])
     deg_nz = degrees[nodes]
-    # the degree-weighted settled mass, sum over levels of alpha * residue / d
-    settled = alpha * np.sum(vals / deg_nz)
-    pushes = 0
-    if level_sink is not None:
-        level_sink(ResidueLevel(0, {t: 1.0}))
+    yield nodes, vals, deg_nz, 0
 
-    for level in range(levels):
+    for _ in range(cfg.levels(n)):
         if nodes.size == 0:
-            break
+            return
         share = (1.0 - alpha) * vals
         # single fp criterion for both branches: deterministic iff the
         # per-neighbor probability would reach 1
@@ -289,16 +220,57 @@ def setpush(
             owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
             hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
 
-        pushes += det_idx.size + hit.size
         nodes, vals = _accumulate(n, det_idx, det_w, hit, threshold)
         deg_nz = degrees[nodes]
-        settled += alpha * np.sum(vals / deg_nz)
-        if level_sink is not None:
-            level_sink(ResidueLevel(level + 1, dict(zip(nodes.tolist(), vals.tolist()))))
+        yield nodes, vals, deg_nz, det_idx.size + hit.size
 
-    value = float(degrees[t]) / n * float(settled)
+
+def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
+    """Randomized backward set-push estimate of node t's PageRank.
+
+    Starts with unit residue at the target and, for each hop level, either
+    pushes a node's discounted residue share to every neighbor (when the
+    share clears threshold * degree) or Bernoulli-samples neighbors via
+    geometric skips and credits them a full threshold each.  The settled
+    mass, degree-reweighted, estimates the truncated PageRank, which is
+    within c/2 relative error of the true score by construction of the
+    hop cutoff.
+
+    ``pushes`` counts every residue increment.  Iteration over nonzero
+    residues is in ascending node order so runs are bit-reproducible for
+    a fixed stream.
+
+    The levels come from ``_setpush_levels``, which holds each frontier
+    as (ascending nodes, residues), so a level costs time in its own
+    pushes, not in n: ``_accumulate`` sums a level's increments (the
+    deterministic shares, then the sampled hits) with ``unique`` +
+    ``bincount`` or, on a level with more than n/8 of them, in one dense
+    array, to the same bits.  The sampled neighbors of a whole level come
+    from one block-drawn ``skip_sample`` call.  Settled mass is never
+    stored: each level adds alpha * sum(residue / degree) over its own
+    frontier to a scalar, so a query with small frontiers makes no pass
+    over all n nodes.
+    """
+    g._check_node(t)
+    threshold = (
+        cfg.threshold_override
+        if cfg.threshold_override is not None
+        else compute_threshold(g, t, cfg)
+    )
+    if threshold <= 0.0:
+        raise ConfigError(f"push threshold must be > 0, got {threshold}")
+
+    start_draws = rng.draws
+    t0 = time.perf_counter_ns()
+    # the degree-weighted settled mass, sum over levels of alpha * residue / d
+    settled = 0.0
+    pushes = 0
+    for _, vals, deg_nz, level_pushes in _setpush_levels(g, t, cfg, threshold, rng):
+        settled += cfg.alpha * np.sum(vals / deg_nz)
+        pushes += level_pushes
+
     return Estimate(
-        value=value,
+        value=float(g.degrees[t]) / g.node_count * float(settled),
         pushes=pushes,
         walk_steps=0,
         rng_draws=rng.draws - start_draws,
@@ -307,10 +279,22 @@ def setpush(
     )
 
 
-def _check_walks(walks) -> None:
-    # a bool is an int to Python; a float would reach np.full as a size
-    if isinstance(walks, bool) or not isinstance(walks, (int, np.integer)) or walks < 1:
-        raise ValidationError(f"walks must be an integer >= 1, got {walks!r}")
+def _default_walks(cfg: EstimatorConfig, scale: float, factor: float = 1.0) -> int:
+    """ceil(scale / (c^2 alpha) * factor), the Monte-Carlo methods' default
+    walk count.  A c so small that the count leaves float range is a
+    ConfigError, not a ZeroDivisionError or OverflowError."""
+    denominator = cfg.c**2 * cfg.alpha
+    walks = scale / denominator * factor if denominator > 0.0 else math.inf
+    if not walks < math.inf:
+        raise ConfigError(f"c = {cfg.c} makes the default walk count infinite")
+    return math.ceil(walks)
+
+
+def _check_int(name: str, value, low: int) -> None:
+    # a bool is an int to Python; a float or str would only fail later, as a
+    # TypeError or ValueError from numpy (a float walk count reaches np.full)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def reverse_mc(
@@ -331,8 +315,8 @@ def reverse_mc(
     g._check_node(t)
     d_t = g.degree(t)
     if walks is None:
-        walks = math.ceil(3.0 * d_t / (cfg.c**2 * cfg.alpha))
-    _check_walks(walks)
+        walks = _default_walks(cfg, 3.0 * d_t)
+    _check_int("walks", walks, 1)
     n = g.node_count
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
@@ -366,13 +350,10 @@ def forward_mc(
     g._check_node(t)
     n = g.node_count
     if walks is None:
-        walks = math.ceil(
-            (2.0 * cfg.c / 3.0 + 2.0)
-            * n
-            / (cfg.c**2 * cfg.alpha)
-            * math.log(1.0 / cfg.failure_prob)
+        walks = _default_walks(
+            cfg, (2.0 * cfg.c / 3.0 + 2.0) * n, math.log(1.0 / cfg.failure_prob)
         )
-    _check_walks(walks)
+    _check_int("walks", walks, 1)
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
     sources = np.minimum((rng.uniforms(walks) * n).astype(np.int64), n - 1)
@@ -388,13 +369,44 @@ def forward_mc(
     )
 
 
+def _local_push_rounds(g: Graph, t: int, alpha: float, eps: float):
+    """local_push's rounds, one at a time: yields (residue, reserve,
+    pushes made) before the first round, with 0 pushes, and then after
+    every round.
+
+    ``residue`` and ``reserve`` are read-only views of the dense arrays
+    the rounds update in place, so a caller that keeps them past the
+    next round sees that round's state.
+    """
+    n = g.node_count
+    offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
+    residue = np.zeros(n)
+    reserve = np.zeros(n)
+    residue[t] = 1.0
+    state = residue.view(), reserve.view()
+    for view in state:
+        view.flags.writeable = False
+    active = np.array([t] if residue[t] >= eps else [], dtype=np.int64)
+    yield *state, 0
+
+    while active.size:
+        mass = residue[active]
+        residue[active] = 0.0
+        reserve[active] += alpha * mass
+        lens = degrees[active]
+        receivers = neighbors[_concat_slices(offsets[active], lens)]
+        nodes, inc = _accumulate(n, receivers, np.repeat((1.0 - alpha) * mass, lens))
+        residue[nodes] += inc / degrees[nodes]
+        active = nodes[residue[nodes] >= eps]
+        yield *state, receivers.size
+
+
 def local_push(
     g: Graph,
     t: int,
     cfg: EstimatorConfig,
     rng: RngStream | None = None,
     epsilon: float | None = None,
-    step_callback: Callable[[LocalPushState], None] | None = None,
 ) -> Estimate:
     """Deterministic round-synchronous backward push; ``rng`` is
     accepted for interface uniformity and never used.
@@ -408,8 +420,8 @@ def local_push(
     residue is below epsilon, at which point the reserve average
     underestimates the true score by at most a factor c of it; that
     guarantee does not depend on push order (Andersen, Borgs, Chayes,
-    Hopcroft, Mirrokni & Teng, WAW 2007).  ``step_callback`` sees the
-    state after every round.
+    Hopcroft, Mirrokni & Teng, WAW 2007).  The rounds come from
+    ``_local_push_rounds``.
     """
     g._check_node(t)
     n = g.node_count
@@ -417,29 +429,10 @@ def local_push(
     # written so that nan fails too: a nan epsilon would settle nothing
     if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < math.inf:
         raise ConfigError(f"epsilon must be finite and > 0, got {eps!r}")
-    offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    alpha = cfg.alpha
     t0 = time.perf_counter_ns()
-
-    residue = np.zeros(n)
-    reserve = np.zeros(n)
-    residue[t] = 1.0
-    active = np.array([t] if residue[t] >= eps else [], dtype=np.int64)
-    state = LocalPushState(residue, reserve, eps) if step_callback else None
     pushes = 0
-
-    while active.size:
-        mass = residue[active]
-        residue[active] = 0.0
-        reserve[active] += alpha * mass
-        lens = degrees[active]
-        receivers = neighbors[_concat_slices(offsets[active], lens)]
-        pushes += receivers.size
-        nodes, inc = _accumulate(n, receivers, np.repeat((1.0 - alpha) * mass, lens))
-        residue[nodes] += inc / degrees[nodes]
-        active = nodes[residue[nodes] >= eps]
-        if state is not None:
-            step_callback(state)
+    for _, reserve, round_pushes in _local_push_rounds(g, t, cfg.alpha, eps):
+        pushes += round_pushes
 
     return Estimate(
         value=float(reserve.sum() / n),

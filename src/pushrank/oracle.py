@@ -12,7 +12,6 @@ n <= 10^4.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING
@@ -209,15 +208,17 @@ def write_csv(
     pagerank_vec: np.ndarray,
     truncated_vec: np.ndarray | None = None,
 ) -> None:
-    """Dump (node_id, pagerank[, truncated]) rows for external diffing."""
-    writer = csv.writer(out)
-    header = ["node", "pagerank"] + (["truncated"] if truncated_vec is not None else [])
-    writer.writerow(header)
-    for u in range(g.node_count):
-        row: list = [int(g.original_ids[u]), f"{pagerank_vec[u]:.15e}"]
-        if truncated_vec is not None:
-            row.append(f"{truncated_vec[u]:.15e}")
-        writer.writerow(row)
+    """Dump (node_id, pagerank[, truncated]) rows for external diffing,
+    byte for byte as ``csv.writer``'s default dialect writes them."""
+    columns = [g.original_ids.tolist(), pagerank_vec.tolist()]
+    if truncated_vec is None:
+        out.write("node,pagerank\r\n")
+        row = "{},{:.15e}\r\n"
+    else:
+        out.write("node,pagerank,truncated\r\n")
+        row = "{},{:.15e},{:.15e}\r\n"
+        columns.append(truncated_vec.tolist())
+    out.write("".join(map(row.format, *columns)))
 
 
 def _check_alpha(alpha: float) -> None:

@@ -87,6 +87,15 @@ class TestQuery:
         assert res.exit_code == 1, res.output
         assert res.output.startswith("error: threshold_override")
 
+    @pytest.mark.parametrize("method", ["reverse-mc", "forward-mc"])
+    @pytest.mark.parametrize("c", ["1e-300", "1e-160"])  # c^2 underflows; the count overflows
+    def test_tiny_c_default_walks(self, runner, method, c):
+        res = runner.invoke(
+            main, ["query", "--gen", "ring:50", "--target", "0", "--method", method, "--c", c],
+        )
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith(f"error: c = {float(c)} makes the default walk count")
+
     def test_theta_on_wrong_method(self, runner):
         res = runner.invoke(
             main, ["query", "--gen", "k2", "--target", "0", "--method", "local-push",
@@ -174,6 +183,12 @@ class TestBenchCmd:
         doc = json.loads((tmp_path / "out/summary.json").read_text())
         assert doc["summaries"][0]["failure_rate"] == 0.0
 
+    def test_negative_seed(self, runner, tmp_path):
+        res = runner.invoke(main, ["bench", "--gen", "ring:50", "--method", "setpush",
+                                   "--seed", "-1", "--out-dir", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: target policy seed must be an integer >= 0")
+
     def test_bad_targets_count(self, runner, tmp_path):
         res = runner.invoke(main, ["bench", "--gen", "complete:16", "--method", "setpush",
                                    "--targets", "uniform:abc", "--out-dir", str(tmp_path)])
@@ -185,7 +200,28 @@ class TestBenchCmd:
         ('{"graph": "gen:k2", "estimator": "setpush", "frobnicate": 1, '
          '"policy": {"kind": "uniform", "count": 1, "seed": 0}}', "frobnicate"),
         ('{"graph": "gen:k2",\n  "estimator": ', "error: line 2: spec is not JSON"),
-    ], ids=["no-policy", "unknown-key", "not-json"])
+        ('{"graph": "gen:k2", "estimator": "setpush", "seed": "x", '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}',
+         "seed must be an integer, got 'x'"),
+        ('{"graph": "gen:k2", "estimator": "setpush", "seed": 1.5, '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}',
+         "seed must be an integer, got 1.5"),
+        ('{"graph": "gen:k2", "estimator": "setpush", "repetitions": 1.5, '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}',
+         "repetitions must be an integer >= 1, got 1.5"),
+        ('{"graph": "gen:k2", "estimator": "setpush", '
+         '"policy": {"kind": "uniform", "count": 2.5, "seed": 0}}',
+         "target count must be an integer >= 1, got 2.5"),
+        ('{"graph": "gen:k2", "estimator": "setpush", '
+         '"policy": {"kind": "uniform", "count": 1, "seed": "x"}}',
+         "target policy seed must be an integer >= 0, got 'x'"),
+        ('{"graph": 5, "estimator": "setpush", '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}', "graph must be a string, got 5"),
+        ('{"graph": "gen:k2", "estimator": "setpush", "oracle": "no", '
+         '"policy": {"kind": "uniform", "count": 1, "seed": 0}}',
+         "oracle must be true or false, got 'no'"),
+    ], ids=["no-policy", "unknown-key", "not-json", "str-seed", "float-seed",
+            "float-repetitions", "float-count", "str-policy-seed", "int-graph", "str-oracle"])
     def test_bad_spec_file(self, runner, tmp_path, text, message):
         path = tmp_path / "spec.json"
         path.write_text(text)
@@ -201,8 +237,10 @@ class TestBenchCmd:
         ("setpush", '{"threshold_override": "0.1"}',
          "threshold_override must be a real number, got '0.1'"),
         ("setpush", '{"cost_constant": [1]}', "cost_constant must be a real number, got [1]"),
+        ("setpush", '{"walks": 10}', "unknown config keys ['walks'] for setpush"),
+        ("reverse-mc", '{"epsilon": 0.1}', "unknown config keys ['epsilon'] for reverse-mc"),
     ], ids=["float-walks", "nan-epsilon", "str-alpha", "float-levels", "str-threshold",
-            "list-cost-constant"])
+            "list-cost-constant", "walks-on-setpush", "epsilon-on-reverse-mc"])
     def test_bad_spec_extras(self, runner, tmp_path, estimator, extras, message):
         # Python's json reads NaN, so a spec can carry it to the estimator
         path = tmp_path / "spec.json"

@@ -13,6 +13,8 @@ from pushrank.estimators import (
     ESTIMATORS,
     Estimate,
     EstimatorConfig,
+    _local_push_rounds,
+    _setpush_levels,
     amplified,
     compute_threshold,
     forward_mc,
@@ -25,6 +27,20 @@ from pushrank.sampling import RngStream, skip_sample
 from conftest import FP_DUST, clt_band, suite_graphs
 
 A = 0.2
+
+
+def setpush_level_entries(g, t, cfg, rng):
+    """Every level ``_setpush_levels`` yields for a setpush query, as
+    (pushes made, {node: residue})."""
+    threshold = (
+        cfg.threshold_override
+        if cfg.threshold_override is not None
+        else compute_threshold(g, t, cfg)
+    )
+    return [
+        (pushes, dict(zip(nodes.tolist(), vals.tolist())))
+        for nodes, vals, _, pushes in _setpush_levels(g, t, cfg, threshold, rng)
+    ]
 
 
 class TestConfig:
@@ -93,13 +109,12 @@ class TestSetpushDeterministicRegime:
                 assert est.rng_draws == 0, name
                 assert est.value == pytest.approx(tables.truncated[t], abs=1e-10), name
 
-    def test_level_sink_sees_exact_residues(self):
+    def test_levels_see_exact_residues(self):
         # all-deterministic residues equal the per-hop mass over alpha
         g = pg.path(3)
         tables = oracle.build_tables(g, A, 0.1)
-        seen = {}
-        setpush(g, 0, EstimatorConfig(threshold_override=1e-18), RngStream(1),
-                level_sink=lambda lv: seen.setdefault(lv.level, lv.entries))
+        cfg = EstimatorConfig(threshold_override=1e-18)
+        seen = [entries for _, entries in setpush_level_entries(g, 0, cfg, RngStream(1))]
         assert seen[0] == {0: 1.0}
         for lvl in range(min(6, len(seen))):
             for v, r in seen[lvl].items():
@@ -128,14 +143,12 @@ class TestSetpushStochastic:
         levels = cfg.levels(2)
         sums = np.zeros((levels + 1, 2))
         sq = np.zeros((levels + 1, 2))
-
-        def sink(lv):
-            for v, r in lv.entries.items():
-                sums[lv.level, v] += r
-                sq[lv.level, v] += r * r
-
         for i in range(self.RUNS):
-            setpush(g, 0, cfg, RngStream(400, i), level_sink=sink)
+            for lvl, (nodes, vals, _, _) in enumerate(
+                _setpush_levels(g, 0, cfg, 0.05, RngStream(400, i))
+            ):
+                sums[lvl, nodes] += vals
+                sq[lvl, nodes] += vals * vals
         mean = sums / self.RUNS
         var = np.maximum(sq / self.RUNS - mean**2, 0.0)
         for lvl in range(levels + 1):
@@ -302,18 +315,19 @@ class TestSetpushDifferential:
     def test_sparse_frontier_bit_identical(self, g, where, theta, seed):
         t = int(where * g.node_count)
         cfg = EstimatorConfig(threshold_override=theta)
-        levels = []
-        est = setpush(g, t, cfg, RngStream(seed, t), level_sink=levels.append)
+        est = setpush(g, t, cfg, RngStream(seed, t))
+        levels = setpush_level_entries(g, t, cfg, RngStream(seed, t))
         dense = []
         value, pushes, draws = _reference_setpush(
             g, t, cfg, RngStream(seed, t), residues=dense, bincount_switch=False
         )
         assert (est.pushes, est.rng_draws, est.value) == (pushes, draws, value)
-        assert [lv.level for lv in levels] == list(range(len(dense) + 1))
-        assert levels[0].entries == {t: 1.0}
-        for lv, res in zip(levels[1:], dense):
+        assert len(levels) == len(dense) + 1
+        assert levels[0] == (0, {t: 1.0})
+        assert sum(level_pushes for level_pushes, _ in levels) == pushes
+        for (_, entries), res in zip(levels[1:], dense):
             nz = np.flatnonzero(res)
-            assert lv.entries == dict(zip(nz.tolist(), res[nz].tolist()))
+            assert entries == dict(zip(nz.tolist(), res[nz].tolist()))
 
 
 class TestReverseMc:
@@ -431,30 +445,35 @@ class TestLocalPush:
         g = pg.erdos_renyi(50, 0.1, 101)
         pi = oracle.pagerank(g, A)
         t = 3
-        steps = 0
-
-        def on_step(state):
-            nonlocal steps
-            steps += 1
-            est_now = state.reserve.sum() / g.node_count
+        pushes = 0
+        for rounds, (residue, reserve, round_pushes) in enumerate(
+            _local_push_rounds(g, t, A, 0.1 * A / g.node_count)
+        ):
+            pushes += round_pushes
+            est_now = reserve.sum() / g.node_count
             assert est_now <= pi[t] + 1e-12
-            carried = float(state.residue @ pi)
+            carried = float(residue @ pi)
             assert est_now + carried == pytest.approx(pi[t], abs=1e-10)
-
-        local_push(g, t, EstimatorConfig(), step_callback=on_step)
-        assert steps > 1
+        assert rounds > 1
+        assert pushes == local_push(g, t, EstimatorConfig()).pushes
 
     def test_rounds_end_with_every_residue_below_epsilon(self, suite):
         for name, g in suite:
-            states = []
-            local_push(
-                g, 0, EstimatorConfig(),
-                step_callback=lambda s: states.append((s.residue.max(), s.epsilon)),
-            )
+            eps = 0.1 * A / g.node_count  # local_push's default
+            tops = [residue.max() for residue, _, _ in _local_push_rounds(g, 0, A, eps)]
             # a round runs only while some residue reaches epsilon
-            assert all(top >= eps for top, eps in states[:-1]), name
-            top, eps = states[-1]
-            assert top < eps, name
+            assert all(top >= eps for top in tops[:-1]), name
+            assert tops[-1] < eps, name
+
+    def test_epsilon_above_unit_residue_runs_no_round(self):
+        g = pg.ring(16)
+        est = local_push(g, 0, EstimatorConfig(), epsilon=1.5)
+        assert (est.value, est.pushes) == (0.0, 0)
+        (residue, reserve, pushes), = _local_push_rounds(g, 0, A, 1.5)
+        assert pushes == 0 and reserve.sum() == 0.0
+        assert residue.tolist() == [1.0] + [0.0] * 15
+        with pytest.raises(ValueError):
+            residue[0] = 0.5  # the views are read-only
 
     def test_deterministic_without_rng(self):
         g = pg.power_law(200, 2.5, 6)

@@ -1,3 +1,4 @@
+import csv
 import io
 
 import numpy as np
@@ -25,6 +26,19 @@ def _reference_levels(g, alpha, levels):
     for _ in range(levels):
         table = (1.0 - alpha) * ((table * inv_deg[None, :]) @ adj)
         yield table
+
+
+def _reference_write_csv(out, g, pagerank_vec, truncated_vec=None):
+    """The earlier ``write_csv``, one ``csv.writer`` row at a time, frozen
+    as the byte-exact reference."""
+    writer = csv.writer(out)
+    header = ["node", "pagerank"] + (["truncated"] if truncated_vec is not None else [])
+    writer.writerow(header)
+    for u in range(g.node_count):
+        row = [int(g.original_ids[u]), f"{pagerank_vec[u]:.15e}"]
+        if truncated_vec is not None:
+            row.append(f"{truncated_vec[u]:.15e}")
+        writer.writerow(row)
 
 
 def _reference_ppr_matrix(g, alpha):
@@ -229,3 +243,15 @@ class TestCsv:
         assert lines[0] == "node,pagerank,truncated"
         assert len(lines) == 3
         assert float(lines[1].split(",")[1]) == pytest.approx(0.5)
+
+    def test_bytes_equal_csv_writer(self, suite):
+        relabeled = pg.load_edge_list("10 7\n7 3\n3 10\n3 99\n")
+        assert relabeled.original_ids.tolist() == [10, 7, 3, 99]
+        for name, g in suite + [("relabeled", relabeled)]:
+            pi = oracle.pagerank(g, A)
+            truncated = oracle.truncated_pagerank(g, A, 30)
+            for column in (None, truncated):
+                got, want = io.StringIO(newline=""), io.StringIO(newline="")
+                oracle.write_csv(got, g, pi, column)
+                _reference_write_csv(want, g, pi, column)
+                assert got.getvalue() == want.getvalue(), name
