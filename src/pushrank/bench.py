@@ -157,21 +157,7 @@ class RunRecord:
 
     def key(self) -> tuple:
         """Every field except wall time; the determinism contract."""
-        return (
-            self.estimator,
-            self.target,
-            self.target_original,
-            self.target_degree,
-            self.bucket,
-            self.config_index,
-            self.repetition,
-            self.stream_id,
-            self.value,
-            self.oracle_value,
-            self.pushes,
-            self.walk_steps,
-            self.rng_draws,
-        )
+        return tuple(getattr(self, f.name) for f in fields(self) if f.name != "wall_nanos")
 
 
 def records_equal(a: Sequence[RunRecord], b: Sequence[RunRecord]) -> bool:
@@ -306,11 +292,11 @@ def _common_alpha(configs: list[EstimatorConfig]) -> float:
     return alphas.pop()
 
 
-def summarize(
-    records: Sequence[RunRecord], configs: list[dict] | None = None
-) -> list[ErrorSummary]:
+def summarize(records: Sequence[RunRecord], configs: list[dict]) -> list[ErrorSummary]:
     """Per-(estimator, config, bucket) aggregates; empty cells are
-    simply absent.  Error columns require oracle values on the records."""
+    simply absent.  ``configs`` is the spec's config grid, which the
+    records' ``config_index`` points into.  Error columns require oracle
+    values on the records."""
     cells: dict[tuple, list[RunRecord]] = {}
     for rec in records:
         cells.setdefault((rec.estimator, rec.config_index, rec.bucket), []).append(rec)
@@ -327,9 +313,7 @@ def summarize(
             truth = np.array([r.oracle_value for r in group])
             rel = np.abs(values - truth) / truth
             mean_rel = float(rel.mean())
-            c = EstimatorConfig().c
-            if configs is not None:
-                c = configs[ci].get("c", c)
+            c = configs[ci].get("c", EstimatorConfig().c)
             rel_over_c = mean_rel / c
             failure = float(np.mean(rel > c))
         out.append(
@@ -363,35 +347,30 @@ class ScalingCurve:
 def scaling_study(
     g: Graph,
     estimators: Sequence[str],
-    cfg_point: dict | None = None,
     targets_per_bucket: int = 5,
-    repetitions: int = 1,
     seed: int = 0,
     max_degree: float | None = None,
     extras_by_estimator: dict[str, dict] | None = None,
 ) -> dict[str, ScalingCurve]:
     """Cost-versus-degree curves over the degree-bucket partition.
 
-    Cost is pushes + walk_steps per run, averaged over the targets and
-    repetitions of each bucket.  ``max_degree`` optionally restricts the
-    slope fit to buckets whose mean target degree is at or below it;
-    fewer than two contributing buckets is an error.
+    Every estimator runs once per target at the default config plus its
+    ``extras_by_estimator`` entry.  Cost is pushes + walk_steps per run,
+    averaged over the targets of each bucket.  ``max_degree`` optionally
+    restricts the slope fit to buckets whose mean target degree is at or
+    below it; fewer than two contributing buckets is an error.
     """
-    cfg_point = dict(cfg_point or {})
     extras_by_estimator = extras_by_estimator or {}
     policy = TargetPolicy("degree_buckets", targets_per_bucket, seed)
     targets = select_targets(g, policy)
 
     out: dict[str, ScalingCurve] = {}
     for name in estimators:
-        point = dict(cfg_point)
-        point.update(extras_by_estimator.get(name, {}))
         spec = ExperimentSpec(
             graph="(in-memory)",
             estimator=name,
             policy=policy,
-            configs=[point],
-            repetitions=repetitions,
+            configs=[dict(extras_by_estimator.get(name, {}))],
             seed=seed,
             oracle=False,
         )
@@ -418,22 +397,7 @@ def scaling_study(
     return out
 
 
-_CSV_COLUMNS = [
-    "estimator",
-    "target",
-    "target_original",
-    "target_degree",
-    "bucket",
-    "config_index",
-    "repetition",
-    "stream_id",
-    "value",
-    "oracle_value",
-    "pushes",
-    "walk_steps",
-    "rng_draws",
-    "wall_nanos",
-]
+_CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 def write_records_csv(records: Sequence[RunRecord], out: IO[str]) -> None:
@@ -452,13 +416,11 @@ def write_records_csv(records: Sequence[RunRecord], out: IO[str]) -> None:
 
 
 def write_summary_json(
-    summaries: Sequence[ErrorSummary],
-    out: IO[str],
-    spec: ExperimentSpec | None = None,
+    summaries: Sequence[ErrorSummary], out: IO[str], spec: ExperimentSpec
 ) -> None:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "spec": json.loads(spec.to_json()) if spec is not None else None,
+        "spec": json.loads(spec.to_json()),
         "summaries": [asdict(s) for s in summaries],
     }
     json.dump(doc, out, sort_keys=True, indent=2)

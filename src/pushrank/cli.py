@@ -2,8 +2,8 @@
 
 Subcommands: query (one estimate), oracle (exact CSV dump), bench
 (experiment sweep), gen (write a generated graph), validate (check an
-edge list).  Exit codes: 0 ok, 1 validation/config/capacity error,
-2 I/O error, 3 internal contract violation.
+edge list).  Exit codes: 0 ok, 1 validation/config/capacity error or
+out of memory, 2 I/O error, 3 internal contract violation.
 
 ``--json`` output is schema-stable, sorted-key, and excludes wall-clock
 timing, so the same --seed reproduces byte-identical bytes; the plain
@@ -48,6 +48,9 @@ def _exit_codes(fn):
             sys.exit(3)
         except PushrankError as exc:
             click.echo(f"error: {exc}", err=True)
+            sys.exit(1)
+        except MemoryError as exc:  # e.g. a tiny c's walk count; numpy names the size
+            click.echo(f"error: out of memory: {exc}", err=True)
             sys.exit(1)
         except OSError as exc:
             click.echo(f"i/o error: {exc}", err=True)

@@ -52,7 +52,7 @@ __all__ = [
 @dataclass
 class EstimatorConfig:
     """Shared knobs: teleport probability, relative error target,
-    failure probability, and overrides for the derived quantities.
+    failure probability, and an override for the derived push threshold.
 
     ``cost_constant`` scales the derived push threshold downward; the
     default 4 follows the Chebyshev derivation that carries an explicit
@@ -66,7 +66,6 @@ class EstimatorConfig:
     c: float = 0.1
     failure_prob: float = 0.1
     threshold_override: float | None = None
-    levels_override: int | None = None
     cost_constant: float = 4.0
 
     def __post_init__(self):
@@ -78,11 +77,6 @@ class EstimatorConfig:
                 isinstance(value, bool) or not isinstance(value, numbers.Real)
             ):
                 raise ConfigError(f"{name} must be a real number, got {value!r}")
-        levels = self.levels_override
-        if levels is not None and (
-            isinstance(levels, bool) or not isinstance(levels, (int, np.integer)) or levels < 1
-        ):
-            raise ConfigError(f"levels_override must be an integer >= 1, got {levels!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
         # written so that nan fails too: a nan or infinite threshold would
@@ -100,8 +94,6 @@ class EstimatorConfig:
 
     def levels(self, n: int) -> int:
         """Hop cutoff for the truncated score this config targets."""
-        if self.levels_override is not None:
-            return self.levels_override
         return truncation_levels(n, self.alpha, self.c)
 
 
@@ -123,18 +115,27 @@ class Estimate:
 
 
 def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
-    """Default push threshold for ``setpush``.
+    """The push threshold ``setpush`` runs with: ``cfg.threshold_override``
+    when it is set, and otherwise the derived default.
 
-    (alpha * c^2 * failure_prob / (cost_constant * levels)) scaled by
-    max{1/d_t, sqrt(2(1-alpha)/m)}: the first branch caps expected work
-    near the target's degree, the second near sqrt(m).  Larger c or
-    failure probability relax the threshold and cut pushes.
+    The default is (alpha * c^2 * failure_prob / (cost_constant * levels))
+    scaled by max{1/d_t, sqrt(2(1-alpha)/m)}: the first branch caps
+    expected work near the target's degree, the second near sqrt(m).
+    Larger c or failure probability relax the threshold and cut pushes.
+    A c whose square leaves float range makes it 0 or infinite, which is
+    a ConfigError: an infinite threshold leaves every sampled neighbor
+    probability 0.
     """
+    if cfg.threshold_override is not None:
+        return cfg.threshold_override
     levels = cfg.levels(g.node_count)
     d_t = g.degree(t)
     m = g.edge_count
-    scale = cfg.alpha * cfg.c**2 * cfg.failure_prob / (cfg.cost_constant * levels)
-    return scale * max(1.0 / d_t, math.sqrt(2.0 * (1.0 - cfg.alpha) / m))
+    scale = cfg.alpha * (cfg.c * cfg.c) * cfg.failure_prob / (cfg.cost_constant * levels)
+    threshold = scale * max(1.0 / d_t, math.sqrt(2.0 * (1.0 - cfg.alpha) / m))
+    if not 0.0 < threshold < math.inf:
+        raise ConfigError(f"c = {cfg.c} makes the push threshold {threshold}, not finite and > 0")
+    return threshold
 
 
 def _concat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -252,14 +253,7 @@ def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
     over all n nodes.
     """
     g._check_node(t)
-    threshold = (
-        cfg.threshold_override
-        if cfg.threshold_override is not None
-        else compute_threshold(g, t, cfg)
-    )
-    if threshold <= 0.0:
-        raise ConfigError(f"push threshold must be > 0, got {threshold}")
-
+    threshold = compute_threshold(g, t, cfg)
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
     # the degree-weighted settled mass, sum over levels of alpha * residue / d
@@ -281,10 +275,15 @@ def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
 
 def _default_walks(cfg: EstimatorConfig, scale: float, factor: float = 1.0) -> int:
     """ceil(scale / (c^2 alpha) * factor), the Monte-Carlo methods' default
-    walk count.  A c so small that the count leaves float range is a
-    ConfigError, not a ZeroDivisionError or OverflowError."""
-    denominator = cfg.c**2 * cfg.alpha
-    walks = scale / denominator * factor if denominator > 0.0 else math.inf
+    walk count.  A c whose c^2 alpha leaves float range, or so small that
+    the count does, is a ConfigError, not a ZeroDivisionError or
+    OverflowError."""
+    denominator = cfg.c * cfg.c * cfg.alpha
+    if not 0.0 < denominator < math.inf:
+        raise ConfigError(
+            f"c = {cfg.c} makes the default walk count divide by c^2 alpha = {denominator}"
+        )
+    walks = scale / denominator * factor
     if not walks < math.inf:
         raise ConfigError(f"c = {cfg.c} makes the default walk count infinite")
     return math.ceil(walks)

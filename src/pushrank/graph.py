@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO
 
 import numpy as np
 
@@ -141,9 +141,6 @@ class Graph:
             return True
         return np.array_equal(self._labeled_edges(), other._labeled_edges())
 
-    def __hash__(self):
-        return hash((self.node_count, self.edge_count, self._labeled_edges().tobytes()))
-
     def __repr__(self):
         return f"Graph(n={self.node_count}, m={self.edge_count})"
 
@@ -201,14 +198,13 @@ _SIGNED_DIGITS = re.compile(rb"-?[0-9]+")
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def load_edge_list(source: IO[str] | IO[bytes] | str | bytes | Iterable[str | bytes]) -> Graph:
+def load_edge_list(source: IO[str] | IO[bytes] | str | bytes) -> Graph:
     """Parse a SNAP-style edge list into a Graph.
 
-    ``source`` is the text itself (``str`` or UTF-8 ``bytes``), an open
-    text or binary handle, or an iterable whose items are lines.  Lines
-    whose first non-blank character is '#' or '%' are comments; data lines
-    hold exactly two whitespace-separated ids made of ASCII digits, each
-    below 2^63.  Ids are remapped densely to 0..n-1 in first-appearance
+    ``source`` is the text itself (``str`` or UTF-8 ``bytes``) or an open
+    text or binary handle.  Lines whose first non-blank character is '#'
+    or '%' are comments; data lines hold exactly two whitespace-separated
+    ids made of ASCII digits, each below 2^63.  Ids are remapped densely to 0..n-1 in first-appearance
     order; duplicate edges collapse, self-loops are dropped (counted on
     the result), and a node left with degree 0 is a validation error
     naming its original id.  A malformed line raises ParseError naming
@@ -244,13 +240,10 @@ def _read_bytes(source) -> bytes:
         data = source.encode("utf-8")
     elif isinstance(source, bytes):
         data = source
-    elif hasattr(source, "read"):
+    else:
         data = source.read()
         if isinstance(data, str):
             data = data.encode("utf-8")
-    else:
-        lines = (line.encode("utf-8") if isinstance(line, str) else line for line in source)
-        data = b"".join(line if line.endswith(b"\n") else line + b"\n" for line in lines)
     return data if data.endswith(b"\n") else data + b"\n"
 
 

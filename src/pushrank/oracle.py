@@ -5,10 +5,10 @@ truncated PageRank, per-hop personalized-PageRank tables and
 single-source PPR vectors.  These are the ground truth the estimators'
 statistical contracts are tested against.  PageRank and the truncated
 vector are sparse recursions costing O(m) per iteration or level, with no
-size gate.  Only the tables and the PPR vectors are dense: the per-hop
-tables take (levels+1) * n^2 * 8 bytes and are gated at 1 GiB (n <= 1562
-at the default alpha 0.2 and c 0.1); single-source vectors are gated at
-n <= 10^4.
+size gate, and a single-source PPR vector is n floats, built the same way.
+Only the per-hop tables and the all-pairs matrix are dense: the tables
+take (levels+1) * n^2 * 8 bytes and are gated at 1 GiB (n <= 1562 at the
+default alpha 0.2 and c 0.1); the matrix is gated at n <= 2000.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "OracleTables",
-    "DENSE_GATE",
     "TABLE_BYTES_GATE",
     "truncation_levels",
     "pagerank",
@@ -38,8 +37,14 @@ __all__ = [
     "write_csv",
 ]
 
-DENSE_GATE = 10_000
 TABLE_BYTES_GATE = 1 << 30
+
+# power iteration stops at this max-norm change, or after this many updates
+_PAGERANK_TOL = 1e-12
+_PAGERANK_MAX_ITER = 2000
+# a PPR vector sums walk lengths until the discount falls to this, or this many
+_PPR_TOL = 1e-15
+_PPR_MAX_ITER = 5000
 
 
 @dataclass
@@ -48,15 +53,14 @@ class OracleTables:
 
     ``lhop_ppr[l][s][t]`` is the probability that a discounted walk from
     s terminates at t at exactly step l; ``truncated`` sums those over
-    l <= hop_limit and averages over sources.  ``lhop_ppr`` is the
-    non-contiguous transposed view that ``lhop_ppr_tables`` returns.
+    l <= levels, the hop cutoff of (alpha, c), and averages over sources.
+    ``lhop_ppr`` is the non-contiguous transposed view that
+    ``lhop_ppr_tables`` returns.
     """
 
     pagerank: np.ndarray
-    lhop_ppr: np.ndarray  # shape (hop_limit + 1, n, n)
+    lhop_ppr: np.ndarray  # shape (levels + 1, n, n)
     truncated: np.ndarray
-    alpha: float
-    hop_limit: int
 
 
 def truncation_levels(n: int, alpha: float, c: float) -> int:
@@ -90,28 +94,23 @@ def _push_forward(g: Graph, x: np.ndarray) -> np.ndarray:
     return np.add.reduceat(contrib[g.neighbors], g.offsets[:-1])
 
 
-def pagerank(
-    g: Graph, alpha: float, tol: float = 1e-12, max_iter: int = 2000
-) -> np.ndarray:
+def pagerank(g: Graph, alpha: float) -> np.ndarray:
     """Ground-truth PageRank by power iteration from the uniform vector:
-    iterate until the max-norm change is at most ``tol`` or ``max_iter``
-    updates are done, whichever comes first.  ``tol=0`` runs exactly
-    ``max_iter`` updates, short of a fixed point.
+    iterate until the max-norm change is at most 1e-12 or 2000 updates
+    are done, whichever comes first.
 
     Successive-iterate max-norm differences contract geometrically with
     rate (1 - alpha).
     """
     _check_alpha(alpha)
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
     n = g.node_count
     x = np.full(n, 1.0 / n)
     teleport = alpha / n
-    for _ in range(max_iter):
+    for _ in range(_PAGERANK_MAX_ITER):
         nxt = (1.0 - alpha) * _push_forward(g, x) + teleport
         delta = np.max(np.abs(nxt - x))
         x = nxt
-        if delta <= tol:
+        if delta <= _PAGERANK_TOL:
             break
     return x
 
@@ -164,29 +163,24 @@ def build_tables(g: Graph, alpha: float, c: float) -> OracleTables:
         pagerank=pagerank(g, alpha),
         lhop_ppr=lhop_ppr_tables(g, alpha, levels),
         truncated=truncated_pagerank(g, alpha, levels),
-        alpha=alpha,
-        hop_limit=levels,
     )
 
 
-def ppr_vector(
-    g: Graph, s: int, alpha: float, tol: float = 1e-15, max_iter: int = 5000
-) -> np.ndarray:
-    """Single-source PPR by accumulating the discounted walk series."""
+def ppr_vector(g: Graph, s: int, alpha: float) -> np.ndarray:
+    """Single-source PPR by accumulating the discounted walk series, up
+    to the walk length whose discount alpha (1-alpha)^l is at most 1e-15
+    (at most 5000 lengths); O(m) time per length and O(n) memory."""
     _check_alpha(alpha)
-    n = g.node_count
-    if n > DENSE_GATE:
-        raise CapacityError(f"dense PPR vector gated at n <= {DENSE_GATE} (got {n})")
     g._check_node(s)
-    hop = np.zeros(n)
+    hop = np.zeros(g.node_count)
     hop[s] = 1.0
     acc = alpha * hop.copy()
     weight = alpha
-    for _ in range(max_iter):
+    for _ in range(_PPR_MAX_ITER):
         hop = _push_forward(g, hop)
         weight *= 1.0 - alpha
         acc += weight * hop
-        if weight <= tol:
+        if weight <= _PPR_TOL:
             break
     return acc
 

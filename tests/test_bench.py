@@ -1,3 +1,4 @@
+import io
 import json
 import math
 
@@ -73,8 +74,8 @@ class TestRunExperiment:
             assert rec.oracle_value == pytest.approx(1 / 16, abs=1e-10)
 
     def test_oracle_values_past_dense_vector_gate(self):
-        # the oracle column comes from the sparse pagerank, so n above the
-        # dense vector gate (10^4) still gets it
+        # the oracle column comes from the sparse pagerank, so n = 20000,
+        # past any dense n^2 array, still gets it
         spec = spec_complete16(graph="gen:ring:20000", repetitions=1)
         for rec in bench.run_experiment(spec):
             assert rec.oracle_value == pytest.approx(1 / 20000, rel=1e-9)
@@ -205,3 +206,20 @@ class TestWriters:
         assert doc["schema_version"] == bench.SCHEMA_VERSION
         assert doc["spec"]["estimator"] == "setpush"
         assert len(doc["summaries"]) == 1
+
+    def test_csv_bytes_frozen(self):
+        # the column order is RunRecord's field order; a reordered field
+        # changes these bytes
+        rec = bench.RunRecord(
+            estimator="setpush", target=3, target_original=7, target_degree=2, bucket=None,
+            config_index=1, repetition=0, stream_id=5, value=0.1, oracle_value=None,
+            pushes=12, walk_steps=0, rng_draws=4, wall_nanos=999,
+        )
+        buf = io.StringIO(newline="")
+        bench.write_records_csv([rec], buf)
+        assert buf.getvalue() == (
+            "estimator,target,target_original,target_degree,bucket,config_index,"
+            "repetition,stream_id,value,oracle_value,pushes,walk_steps,rng_draws,wall_nanos\r\n"
+            "setpush,3,7,2,,1,0,5,0.10000000000000001,,12,0,4,999\r\n"
+        )
+        assert rec.key() == ("setpush", 3, 7, 2, None, 1, 0, 5, 0.1, None, 12, 0, 4)

@@ -96,6 +96,25 @@ class TestQuery:
         assert res.exit_code == 1, res.output
         assert res.output.startswith(f"error: c = {float(c)} makes the default walk count")
 
+    @pytest.mark.parametrize("method", ["setpush", "reverse-mc", "forward-mc"])
+    @pytest.mark.parametrize("c", ["1e155", "1e200"])  # c*c is infinite
+    def test_huge_c(self, runner, method, c):
+        res = runner.invoke(
+            main, ["query", "--gen", "ring:50", "--target", "0", "--method", method, "--c", c],
+        )
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith(f"error: c = {float(c)} makes the ")
+
+    def test_out_of_memory(self, runner):
+        # 7.5e16 default walks: 533 PiB of int64 starts, past any address
+        # space, so the allocation fails at once
+        res = runner.invoke(
+            main, ["query", "--gen", "ring:50", "--target", "0", "--method", "reverse-mc",
+                   "--c", "2e-8"],
+        )
+        assert res.exit_code == 1, res.output
+        assert res.output.startswith("error: out of memory")
+
     def test_theta_on_wrong_method(self, runner):
         res = runner.invoke(
             main, ["query", "--gen", "k2", "--target", "0", "--method", "local-push",
@@ -233,14 +252,15 @@ class TestBenchCmd:
         ("reverse-mc", '{"walks": 1.5}', "walks must be an integer >= 1, got 1.5"),
         ("local-push", '{"epsilon": NaN}', "epsilon must be finite and > 0, got nan"),
         ("setpush", '{"alpha": "x"}', "alpha must be a real number, got 'x'"),
-        ("setpush", '{"levels_override": 2.5}', "levels_override must be an integer >= 1, got 2.5"),
+        ("setpush", '{"levels_override": 2.5}', "unknown config keys ['levels_override'] for setpush"),
         ("setpush", '{"threshold_override": "0.1"}',
          "threshold_override must be a real number, got '0.1'"),
         ("setpush", '{"cost_constant": [1]}', "cost_constant must be a real number, got [1]"),
         ("setpush", '{"walks": 10}', "unknown config keys ['walks'] for setpush"),
         ("reverse-mc", '{"epsilon": 0.1}', "unknown config keys ['epsilon'] for reverse-mc"),
+        ("setpush", '{"c": 1e200}', "c = 1e+200 makes the push threshold inf"),
     ], ids=["float-walks", "nan-epsilon", "str-alpha", "float-levels", "str-threshold",
-            "list-cost-constant", "walks-on-setpush", "epsilon-on-reverse-mc"])
+            "list-cost-constant", "walks-on-setpush", "epsilon-on-reverse-mc", "huge-c"])
     def test_bad_spec_extras(self, runner, tmp_path, estimator, extras, message):
         # Python's json reads NaN, so a spec can carry it to the estimator
         path = tmp_path / "spec.json"

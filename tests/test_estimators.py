@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -32,11 +33,7 @@ A = 0.2
 def setpush_level_entries(g, t, cfg, rng):
     """Every level ``_setpush_levels`` yields for a setpush query, as
     (pushes made, {node: residue})."""
-    threshold = (
-        cfg.threshold_override
-        if cfg.threshold_override is not None
-        else compute_threshold(g, t, cfg)
-    )
+    threshold = compute_threshold(g, t, cfg)
     return [
         (pushes, dict(zip(nodes.tolist(), vals.tolist())))
         for nodes, vals, _, pushes in _setpush_levels(g, t, cfg, threshold, rng)
@@ -63,7 +60,6 @@ class TestConfig:
     def test_levels_matches_truncation(self):
         cfg = EstimatorConfig()
         assert cfg.levels(2) == oracle.truncation_levels(2, 0.2, 0.1) == 24
-        assert EstimatorConfig(levels_override=7).levels(2) == 7
 
 
 class TestComputeThreshold:
@@ -75,10 +71,21 @@ class TestComputeThreshold:
         assert compute_threshold(g, 1, cfg) == pytest.approx(scale * 1.0)
 
     def test_c_doubling_scales_by_four(self):
+        # the hop cutoff L moves with c too, so compare theta * L
         g = pg.complete(16)
-        t1 = compute_threshold(g, 0, EstimatorConfig(c=0.1, levels_override=30))
-        t2 = compute_threshold(g, 0, EstimatorConfig(c=0.2, levels_override=30))
+        lo, hi = EstimatorConfig(c=0.1), EstimatorConfig(c=0.2)
+        t1 = compute_threshold(g, 0, lo) * lo.levels(16)
+        t2 = compute_threshold(g, 0, hi) * hi.levels(16)
         assert t2 == pytest.approx(4 * t1)
+
+    def test_override_wins(self):
+        cfg = EstimatorConfig(threshold_override=0.03)
+        assert compute_threshold(pg.complete(8), 0, cfg) == 0.03
+
+    @pytest.mark.parametrize("c", [1e-300, 1e155])  # c*c is 0, then infinite
+    def test_c_out_of_float_range(self, c):
+        with pytest.raises(ConfigError, match=re.escape(f"c = {c} makes the push threshold")):
+            compute_threshold(pg.complete(8), 0, EstimatorConfig(c=c))
 
     def test_complete16_hand_arithmetic(self):
         # n=16, m=120, d_t=15, L = ceil(log_{0.8}(0.02/32)) = 34

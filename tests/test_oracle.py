@@ -51,11 +51,11 @@ def _reference_ppr_matrix(g, alpha):
 
 class TestPowerMethod:
     def test_k2_symmetric(self):
-        pi = oracle.pagerank(pg.complete(2), A, tol=0.0, max_iter=100)
+        pi = oracle.pagerank(pg.complete(2), A)
         assert np.allclose(pi, [0.5, 0.5], atol=1e-12)
 
     def test_complete4_uniform(self):
-        pi = oracle.pagerank(pg.complete(4), A, tol=0.0, max_iter=100)
+        pi = oracle.pagerank(pg.complete(4), A)
         assert np.allclose(pi, 0.25, atol=1e-12)
 
     def test_p3_against_linear_solve(self):
@@ -70,7 +70,7 @@ class TestPowerMethod:
 
     def test_sums_to_one(self, suite):
         for name, g in suite:
-            pi = oracle.pagerank(g, A, tol=0.0, max_iter=60)
+            pi = oracle.pagerank(g, A)
             assert abs(pi.sum() - 1.0) < 1e-10, name
 
     def test_max_norm_contraction(self, suite):
@@ -84,10 +84,6 @@ class TestPowerMethod:
                 x = nxt
             for k, d in enumerate(deltas):
                 assert d <= (1 - A) ** k * deltas[0] * (1 + 1e-9), (name, k)
-
-    def test_iteration_validation(self):
-        with pytest.raises(ValidationError):
-            oracle.pagerank(pg.complete(2), A, max_iter=0)
 
 
 class TestLhopTables:
@@ -228,9 +224,10 @@ class TestPprVector:
             pi = oracle.pagerank(g, A)
             assert np.all(pi >= A / g.node_count - 1e-12), name
 
-    def test_dense_gate(self):
-        with pytest.raises(CapacityError):
-            oracle.ppr_vector(pg.ring(10_001), 0, A)
+    def test_no_size_gate(self):
+        # n floats: a graph past n = 10^4 gets its vector too
+        pv = oracle.ppr_vector(pg.ring(10_001), 0, A)
+        assert abs(pv.sum() - 1.0) <= 1e-12
 
 
 class TestCsv:

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from pushrank import graph as pg
 from pushrank import oracle
 from pushrank.errors import ContractViolationError, ValidationError
-from pushrank.estimators import EstimatorConfig, _setpush_levels, setpush
+from pushrank.estimators import EstimatorConfig, _setpush_levels
 from pushrank.sampling import RngStream, alpha_walk_batch, median_of_means, skip_sample
 
 
@@ -85,17 +86,13 @@ class TestGeometricSkip:
         # skip_sample refuses p = 1 (test_contract_violations); setpush's
         # deterministic branch owns it.  Here the per-neighbor probability
         # is exactly 1: share (1-a)*1 = 0.5 over threshold 0.125 * degree 4.
-        cfg = EstimatorConfig(alpha=0.5, threshold_override=0.125, levels_override=1)
-        g = pg.complete(5)
-        est = setpush(g, 0, cfg, RngStream(1))
+        cfg = EstimatorConfig(alpha=0.5, threshold_override=0.125)
         rng = RngStream(1)
-        (_, _, _, level_0_pushes), (nodes, vals, _, level_1_pushes) = _setpush_levels(
-            g, 0, cfg, 0.125, rng
-        )
+        levels = _setpush_levels(pg.complete(5), 0, cfg, 0.125, rng)
+        (_, _, _, level_0_pushes), (nodes, vals, _, level_1_pushes) = islice(levels, 2)
         assert dict(zip(nodes.tolist(), vals.tolist())) == {1: 0.125, 2: 0.125, 3: 0.125, 4: 0.125}
         assert (level_0_pushes, level_1_pushes) == (0, 4)
-        assert est.pushes == 4
-        assert est.rng_draws == rng.draws == 0
+        assert rng.draws == 0
 
     def test_emitted_count_binomial_mean(self):
         # Binomial(10, 0.3) oracle: mean 3, sd sqrt(10*.3*.7)
