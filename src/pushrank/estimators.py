@@ -140,43 +140,36 @@ def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
 
 def _concat_slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenate arange(start, start+length) runs without Python loops."""
-    total = int(lengths.sum())
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    ends = np.cumsum(lengths)
-    out[ends[:-1]] = starts[1:] - (starts[:-1] + lengths[:-1]) + 1
-    return np.cumsum(out)
+    # output entry i, in run k, is starts[k] + i - (the index run k begins at)
+    shift = starts - lengths.cumsum()
+    shift += lengths
+    out = shift.repeat(lengths)
+    out += np.arange(out.size)
+    return out
 
 
 def _accumulate(
-    n: int,
-    idx: np.ndarray,
-    weights: np.ndarray,
-    hits: np.ndarray = np.empty(0, dtype=np.int64),
-    hit_weight: float = 0.0,
+    n: int, keys: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum ``weights`` by node in ``idx``, then add ``hit_weight`` once per
-    entry of ``hits``: (ascending nodes, their sums).
+    """Sum ``weights`` by node in ``keys``: (ascending nodes, their sums).
 
-    At most n/8 entries in all go through ``unique`` + ``bincount``, in
-    time proportional to the entries; more go through one length-n
-    ``bincount`` and ``np.add.at``, whose O(n) pass they pay for.  Either
-    way every sum adds its terms in input order, so the result does not
-    depend on which path ran.  Weights must be positive: the dense path
-    keeps the nodes whose sum is.
+    At most n/8 keys are ranked by one ``argsort`` and summed by
+    ``bincount`` over their ranks, in time proportional to the keys; more
+    go through one length-n ``bincount``, whose O(n) pass they pay for.
+    Either way every sum adds its terms in input order, so the result
+    does not depend on which path ran.  Weights must be positive: the
+    dense path keeps the nodes whose sum is.
     """
-    if 8 * (idx.size + hits.size) <= n:
-        nodes, inv = np.unique(np.concatenate([idx, hits]), return_inverse=True)
-        sums = np.bincount(
-            inv, weights=np.concatenate([weights, np.full(hits.size, hit_weight)])
-        )
-        return nodes, sums
-    if idx.size:
-        acc = np.bincount(idx, weights=weights, minlength=n)
-    else:  # bincount of nothing is an integer array, whatever its weights
-        acc = np.zeros(n)
-    np.add.at(acc, hits, hit_weight)
-    nodes = np.flatnonzero(acc > 0.0)  # a bool mask scans faster than floats
+    if 8 * keys.size <= n:
+        order = keys.argsort()
+        ranked = keys[order]
+        # a node's first entry differs from the one before it (keys are >= 0)
+        first = ranked != np.concatenate(([-1], ranked[:-1]))
+        rank = np.empty_like(order)
+        rank[order] = first.cumsum() - 1
+        return ranked[first.nonzero()[0]], np.bincount(rank, weights)
+    acc = np.bincount(keys, weights, n)
+    nodes = (acc > 0.0).nonzero()[0]  # a bool mask scans faster than floats
     return nodes, acc[nodes]
 
 
@@ -190,10 +183,18 @@ def _setpush_levels(
 
     The arrays are the frontier the next level is pushed from; callers
     read them and must not write to them.
+
+    A level's increments are one (CSR slots, weights) pair: the
+    deterministic shares in node order, then the sampled hits, each worth
+    ``threshold``.  One ``neighbors`` gather turns the slots into nodes and
+    one ``_accumulate`` call sums them.  The branches are split once, into
+    index arrays, and every step is one numpy call on a frontier- or
+    push-sized array, so a level's fixed cost is a few dozen such calls
+    (about 44 on ``ring:10^6``, against about 106 before this layout).
     """
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    alpha = cfg.alpha
+    keep = 1.0 - cfg.alpha
     nodes = np.array([t], dtype=np.int64)
     vals = np.array([1.0])
     deg_nz = degrees[nodes]
@@ -202,28 +203,30 @@ def _setpush_levels(
     for _ in range(cfg.levels(n)):
         if nodes.size == 0:
             return
-        share = (1.0 - alpha) * vals
+        share = keep * vals
         # single fp criterion for both branches: deterministic iff the
         # per-neighbor probability would reach 1
         prob = share / (threshold * deg_nz)
-        det = prob >= 1.0
-        det_idx = hit = np.empty(0, dtype=np.int64)
-        det_w = np.empty(0)
-
-        det_nodes = nodes[det]
-        if det_nodes.size:
-            lens = deg_nz[det]
-            det_idx = neighbors[_concat_slices(offsets[det_nodes], lens)]
-            det_w = np.repeat(share[det] / lens, lens)
-
-        samp_nodes = nodes[~det]
-        if samp_nodes.size:
-            owner, position = skip_sample(deg_nz[~det], prob[~det], rng)
-            hit = neighbors[offsets[samp_nodes[owner]] + position - 1]
-
-        nodes, vals = _accumulate(n, det_idx, det_w, hit, threshold)
+        det_mask = prob >= 1.0
+        # indices, not masks: each is read several times, and a gather by
+        # index is several times faster than one by a random mask
+        det = det_mask.nonzero()[0]
+        sampled = (~det_mask).nonzero()[0]
+        lens = deg_nz[det]
+        slots = _concat_slices(offsets[nodes[det]], lens)
+        # one weight per run of slots: each deterministic node's share, then
+        # threshold for all the hits
+        run_w, run_len = share[det] / lens, lens
+        if sampled.size:
+            owner, position = skip_sample(deg_nz[sampled], prob[sampled], rng)
+            position += offsets[nodes[sampled]][owner]
+            position -= 1
+            slots = np.concatenate((slots, position))
+            run_w = np.concatenate((run_w, [threshold]))
+            run_len = np.concatenate((run_len, [position.size]))
+        nodes, vals = _accumulate(n, neighbors[slots], run_w.repeat(run_len))
         deg_nz = degrees[nodes]
-        yield nodes, vals, deg_nz, det_idx.size + hit.size
+        yield nodes, vals, deg_nz, slots.size
 
 
 def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
@@ -244,13 +247,19 @@ def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
     The levels come from ``_setpush_levels``, which holds each frontier
     as (ascending nodes, residues), so a level costs time in its own
     pushes, not in n: ``_accumulate`` sums a level's increments (the
-    deterministic shares, then the sampled hits) with ``unique`` +
-    ``bincount`` or, on a level with more than n/8 of them, in one dense
+    deterministic shares, then the sampled hits) by ranking them with one
+    ``argsort`` or, on a level with more than n/8 of them, in one dense
     array, to the same bits.  The sampled neighbors of a whole level come
     from one block-drawn ``skip_sample`` call.  Settled mass is never
     stored: each level adds alpha * sum(residue / degree) over its own
     frontier to a scalar, so a query with small frontiers makes no pass
     over all n nodes.
+
+    A small level still pays a fixed cost in numpy calls, each about a
+    microsecond whatever its array's size.  On ``ring:10^6`` (~25 pushes
+    a level) a level makes about 44 Python-level calls, sampler included,
+    where the earlier loop made about 106, and takes about 0.7 of the
+    time.
     """
     g._check_node(t)
     threshold = compute_threshold(g, t, cfg)
@@ -259,8 +268,9 @@ def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
     # the degree-weighted settled mass, sum over levels of alpha * residue / d
     settled = 0.0
     pushes = 0
+    alpha = cfg.alpha
     for _, vals, deg_nz, level_pushes in _setpush_levels(g, t, cfg, threshold, rng):
-        settled += cfg.alpha * np.sum(vals / deg_nz)
+        settled += alpha * (vals / deg_nz).sum()
         pushes += level_pushes
 
     return Estimate(

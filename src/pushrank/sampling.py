@@ -108,32 +108,40 @@ def skip_sample(
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     probs = np.asarray(probs, dtype=np.float64)
-    if np.any(sizes < 1):
+    # the initial values let an empty call through; a nan p fails both tests
+    if sizes.min(initial=1) < 1:
         raise ValidationError(f"set sizes must be >= 1, got {int(sizes.min())}")
-    if not np.all((probs > 0.0) & (probs < 1.0)):
+    if not (probs.min(initial=0.5) > 0.0 and probs.max(initial=0.5) < 1.0):
         raise ContractViolationError(
             "skip sampling needs probabilities in (0, 1); p <= 0 means no push "
             "and p >= 1 belongs to the deterministic branch"
         )
     log_q = np.log1p(-probs)
     pos = _gaps(rng, log_q, sizes)
-    first = np.flatnonzero(pos <= sizes)
-    owners, positions = [first], [pos[first]]
-    active = first[pos[first] < sizes[first]]
+    owner = (pos <= sizes).nonzero()[0]
+    owners, positions = [owner], [pos[owner]]
+    # the sets still short of their end, and the last position each reached
+    active = (pos < sizes).nonzero()[0]
+    last = pos[active]
     while active.size:
-        pos_a = pos[active]
-        remaining = sizes[active] - pos_a
-        block = 1 + np.ceil(remaining * probs[active]).astype(np.int64)
-        owner = np.repeat(active, block)
-        total = np.cumsum(_gaps(rng, log_q[owner], np.repeat(remaining, block)))
-        ends = np.cumsum(block) - 1
-        before = np.concatenate(([0], total[ends[:-1]]))  # sum of earlier blocks
-        position = total + np.repeat(pos_a - before, block)
-        inside = np.flatnonzero(position <= sizes[owner])
+        size = sizes[active]
+        remaining = size - last
+        block = np.ceil(remaining * probs[active]).astype(np.int64)
+        block += 1
+        owner = active.repeat(block)
+        stop = block.cumsum()
+        # total[i] is the sum of the round's first i gaps, so a block's
+        # gaps count on from its set's last position
+        total = np.zeros(owner.size + 1, dtype=np.int64)
+        _gaps(rng, log_q[owner], remaining.repeat(block)).cumsum(out=total[1:])
+        position = total[1:]
+        position += (last - total[stop - block]).repeat(block)
+        inside = (position <= sizes[owner]).nonzero()[0]
         owners.append(owner[inside])
         positions.append(position[inside])
-        pos[active] = position[ends]
-        active = active[pos[active] < sizes[active]]
+        last = position[stop - 1]
+        live = (last < size).nonzero()[0]
+        active, last = active[live], last[live]
     return np.concatenate(owners), np.concatenate(positions)
 
 

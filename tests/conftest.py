@@ -1,8 +1,11 @@
 """Shared fixtures: the mixed-family graph suite and statistical helpers."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pushrank import graph as pg
 
@@ -10,6 +13,11 @@ from pushrank import graph as pg
 # have zero sample deviation, and two float pipelines computing the same
 # quantity agree only to accumulation dust, not bit-exactly.
 FP_DUST = 1e-10
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a failure
+# seen in CI reproduces locally; it changes no example budget
+settings.register_profile("ci", derandomize=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def clt_band(sample_std: float, runs: int, widths: float = 4.0) -> float:

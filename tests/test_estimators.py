@@ -14,6 +14,7 @@ from pushrank.estimators import (
     ESTIMATORS,
     Estimate,
     EstimatorConfig,
+    _accumulate,
     _local_push_rounds,
     _setpush_levels,
     amplified,
@@ -335,6 +336,29 @@ class TestSetpushDifferential:
         for (_, entries), res in zip(levels[1:], dense):
             nz = np.flatnonzero(res)
             assert entries == dict(zip(nz.tolist(), res[nz].tolist()))
+
+
+class TestAccumulate:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_in_order_float_sum(self, data):
+        # a setpush level's tally: deterministic shares, then the hits, each
+        # worth the threshold; n on either side of the n/8 rule
+        shares = data.draw(st.integers(0, 60))
+        hits = data.draw(st.integers(0, 40))
+        size = shares + hits
+        n = max(1, 8 * size - data.draw(st.sampled_from([0, 1])))
+        span = data.draw(st.sampled_from([min(n, 3), n]))  # 3 keys: many repeats
+        keys = data.draw(st.lists(st.integers(0, span - 1), min_size=size, max_size=size))
+        positive = st.floats(1e-12, 1e6)
+        weights = data.draw(st.lists(positive, min_size=shares, max_size=shares))
+        weights += [data.draw(positive)] * hits
+        expected = {}
+        for k, w in zip(keys, weights):
+            expected[k] = expected.get(k, 0.0) + w
+        nodes, sums = _accumulate(n, np.array(keys, dtype=np.int64), np.array(weights))
+        assert nodes.tolist() == sorted(expected)
+        assert sums.tolist() == [expected[k] for k in sorted(expected)]
 
 
 class TestReverseMc:

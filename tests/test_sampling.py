@@ -4,7 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushrank import graph as pg
@@ -72,14 +72,80 @@ def _block_sizes(size, p, positions):
     return blocks
 
 
+def _reference_gaps(rng, log_q, limit):
+    """``sampling._gaps`` as ``_reference_skip_sample`` calls it."""
+    u = rng.uniforms(log_q.size)
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, log_q, out=u)
+    np.floor(u, out=u)
+    np.minimum(u, limit, out=u)
+    gap = u.astype(np.int64)
+    gap += 1
+    return gap
+
+
+def _reference_skip_sample(sizes, probs, rng):
+    """The block-drawn skip sampler with a global position array and three
+    repeats per round, frozen as the reference the shipped ``skip_sample``
+    must match on every owner, position and ``uniforms`` call."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    if np.any(sizes < 1):
+        raise ValidationError(f"set sizes must be >= 1, got {int(sizes.min())}")
+    if not np.all((probs > 0.0) & (probs < 1.0)):
+        raise ContractViolationError("skip sampling needs probabilities in (0, 1)")
+    log_q = np.log1p(-probs)
+    pos = _reference_gaps(rng, log_q, sizes)
+    first = np.flatnonzero(pos <= sizes)
+    owners, positions = [first], [pos[first]]
+    active = first[pos[first] < sizes[first]]
+    while active.size:
+        pos_a = pos[active]
+        remaining = sizes[active] - pos_a
+        block = 1 + np.ceil(remaining * probs[active]).astype(np.int64)
+        owner = np.repeat(active, block)
+        total = np.cumsum(_reference_gaps(rng, log_q[owner], np.repeat(remaining, block)))
+        ends = np.cumsum(block) - 1
+        before = np.concatenate(([0], total[ends[:-1]]))  # sum of earlier blocks
+        position = total + np.repeat(pos_a - before, block)
+        inside = np.flatnonzero(position <= sizes[owner])
+        owners.append(owner[inside])
+        positions.append(position[inside])
+        pos[active] = position[ends]
+        active = active[pos[active] < sizes[active]]
+    return np.concatenate(owners), np.concatenate(positions)
+
+
+def _skip_inputs(sets, max_size, kind, huge, seed):
+    """(sizes, probs) for ``sets`` sets of sizes 1..max_size, at most 2*10^5
+    positions in all, with probabilities of one kind; ``huge`` appends two
+    sets of 10^12 at 1e-18 and 1e-300."""
+    r = np.random.default_rng(seed)
+    sizes = r.integers(1, max(1, min(max_size, 200_000 // max(sets, 1))) + 1, sets)
+    if kind == "mixed":
+        probs = r.uniform(1e-4, 0.9, sets)
+    elif kind == "near_one":
+        probs = 1.0 - 10.0 ** -r.uniform(1.0, 16.0, sets)
+    else:  # "tiny"
+        probs = 10.0 ** -r.uniform(6.0, 300.0, sets)
+    if huge:
+        sizes = np.concatenate([sizes, [10**12, 10**12]])
+        probs = np.concatenate([probs, [1e-18, 1e-300]])
+    return sizes, probs
+
+
 class TestGeometricSkip:
     def test_contract_violations(self):
         r = RngStream(1)
-        for p in (0.0, 1.0, 1.5):
+        for p in (0.0, 1.0, 1.5, -0.5, math.nan):
             with pytest.raises(ContractViolationError):
                 skip_sample(np.array([5]), np.array([p]), r)
-        with pytest.raises(ValidationError):
-            skip_sample(np.array([0]), np.array([0.5]), r)
+            with pytest.raises(ContractViolationError):
+                skip_sample(np.array([5, 5]), np.array([0.5, p]), r)
+        for sizes in ([0], [3, 0]):
+            with pytest.raises(ValidationError):
+                skip_sample(np.array(sizes), np.full(len(sizes), 0.5), r)
         assert r.draws == 0
 
     def test_p_one_emits_everything(self):
@@ -215,6 +281,33 @@ class TestGeometricSkip:
         assert rng.calls == by_round
         assert rng.draws == sum(by_round)
         assert 2 < len(rng.calls) < 10
+
+
+class TestSkipSampleReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([0, 1, 2, 13, 400, 3000]),
+        st.sampled_from([1, 2, 40, 2000, 100_000]),
+        st.sampled_from(["mixed", "near_one", "tiny"]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @example(0, 1, "mixed", False, 1)  # no sets: one empty uniforms call
+    @example(13, 1, "mixed", False, 2)  # every set of size 1
+    @example(400, 40, "near_one", False, 3)
+    @example(1, 100_000, "mixed", False, 4)  # one set, many rounds
+    @example(3000, 2000, "mixed", True, 5)  # thousands of sets, and 10^12 at 1e-18/1e-300
+    @example(0, 1, "tiny", True, 6)  # only the two 10^12 sets
+    def test_bit_identical_to_reference(self, sets, max_size, kind, huge, seed):
+        sizes, probs = _skip_inputs(sets, max_size, kind, huge, seed)
+        want_rng, got_rng = _RecordingStream(seed, 7), _RecordingStream(seed, 7)
+        want = _reference_skip_sample(sizes, probs, want_rng)
+        got = skip_sample(sizes, probs, got_rng)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tolist() == w.tolist()
+        assert got_rng.calls == want_rng.calls
+        assert got_rng.draws == want_rng.draws
 
 
 class _ScriptedStream(RngStream):
