@@ -300,8 +300,9 @@ def _default_walks(cfg: EstimatorConfig, scale: float, factor: float = 1.0) -> i
 
 
 def _check_int(name: str, value, low: int) -> None:
-    # a bool is an int to Python; a float or str would only fail later, as a
-    # TypeError or ValueError from numpy (a float walk count reaches np.full)
+    # a bool is an int to Python; a float or str would only fail later, as
+    # a TypeError or ValueError from numpy (a float walk count reaches
+    # np.broadcast_to)
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
         raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
 
@@ -330,7 +331,7 @@ def reverse_mc(
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
     terminals, moves = alpha_walk_batch(
-        g, np.full(walks, t, dtype=np.int64), cfg.alpha, rng
+        g, np.broadcast_to(np.int64(t), walks), cfg.alpha, rng
     )
     acc = float(np.sum(1.0 / g.degrees[terminals]))
     return Estimate(
@@ -365,7 +366,11 @@ def forward_mc(
     _check_int("walks", walks, 1)
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
-    sources = np.minimum((rng.uniforms(walks) * n).astype(np.int64), n - 1)
+    u = rng.uniforms(walks)
+    u *= n
+    sources = u.astype(np.int64)
+    del u
+    np.minimum(sources, n - 1, out=sources)
     terminals, moves = alpha_walk_batch(g, sources, cfg.alpha, rng)
     value = float(np.count_nonzero(terminals == t)) / walks
     return Estimate(

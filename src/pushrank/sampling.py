@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 _M64 = (1 << 64) - 1
+# walks per uniforms call in alpha_walk_batch's step loop; a block's
+# temporaries, at most 24 bytes a walk at once, stay in cache
+_BLOCK = 1 << 15
 
 
 def _splitmix64(x: int) -> int:
@@ -156,9 +159,15 @@ def alpha_walk_batch(
     Geometric law of a per-step stop coin, for one draw per walk.  The
     walks are stable-sorted by descending length, so the walks still
     moving at step s are a prefix of the sorted array; that prefix
-    advances in place, one neighbor draw per move.  A walk therefore
-    costs 1 + moves draws.  Returns (terminals aligned with starts,
-    total moves); expected moves per walk are 1/alpha - 1.
+    advances in place, in blocks of ``_BLOCK`` walks with one
+    ``uniforms`` call per block.  The stream continues across calls, so
+    the blocks draw the same numbers as one call per step would.  A walk
+    therefore costs 1 + moves draws.  Returns (terminals aligned with
+    starts, total moves); expected moves per walk are 1/alpha - 1.
+
+    Memory: at most three int64 arrays per walk (the sort order, the
+    positions and the terminals) plus O(``_BLOCK``) temporaries, on top
+    of ``starts``, which may be a zero-stride broadcast.
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must be in (0,1), got {alpha}")
@@ -169,26 +178,36 @@ def alpha_walk_batch(
     np.log(u, out=u)
     np.divide(u, np.log1p(-alpha), out=u)
     lengths = np.floor(u, out=u).astype(np.int64)
+    del u
     longest = int(lengths.max(initial=0))
-    # a radix sort on a 16-bit key is several times faster than on int64
-    key = np.negative(lengths, dtype=np.int16 if longest < 1 << 15 else np.int64)
-    order = np.argsort(key, kind="stable")
+    moves = int(lengths.sum())
+    # moving[s]: the walks with more than s moves, a prefix of the sorted walks
+    moving = starts.shape[0] - np.bincount(lengths, minlength=longest + 1).cumsum()
+    # ascending longest - lengths is descending length.  The stable radix
+    # sort makes one pass over a uint8 key; longer walks sort on int64, in
+    # place of the lengths
+    key = lengths.astype(np.uint8) if longest < 1 << 8 else lengths
+    np.subtract(longest, key, out=key)
+    del lengths
+    order = key.argsort(kind="stable")
+    del key
     cur = starts[order]
-    # moving[s]: the walks with more than s moves, a prefix of cur
-    moving = starts.shape[0] - np.cumsum(np.bincount(lengths, minlength=longest + 1))
     # floor(u * d) <= d - 1 holds with no clamp.  A uniform is at most
     # 1 - 2^-53, so the exact u * d is below d by at least d * 2^-53.  That
     # is more than half the float spacing just below d (exactly that
     # spacing when d is a power of two), so for d < 2^53 the product rounds
     # to a float below d.
     for k in moving[:longest].tolist():
-        c = cur[:k]
-        j = (rng.uniforms(k) * degrees[c]).astype(np.int64)
-        j += offsets[c]
-        np.take(neighbors, j, out=c)
+        for lo in range(0, k, _BLOCK):
+            c = cur[lo : min(lo + _BLOCK, k)]
+            u = rng.uniforms(c.size)
+            u *= degrees[c]
+            j = u.astype(np.int64)
+            j += offsets[c]
+            np.take(neighbors, j, out=c)
     terminals = np.empty_like(cur)
     terminals[order] = cur
-    return terminals, int(lengths.sum())
+    return terminals, moves
 
 
 def median_of_means(estimates: Sequence[float] | np.ndarray, groups: int) -> float:

@@ -1,5 +1,7 @@
 import math
+import tracemalloc
 from itertools import islice
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pushrank import graph as pg
-from pushrank import oracle
+from pushrank import oracle, sampling
 from pushrank.errors import ContractViolationError, ValidationError
-from pushrank.estimators import EstimatorConfig, _setpush_levels
+from pushrank.estimators import EstimatorConfig, _setpush_levels, forward_mc, reverse_mc
 from pushrank.sampling import RngStream, alpha_walk_batch, median_of_means, skip_sample
 
 
@@ -422,6 +424,106 @@ class TestAlphaWalk:
         rng = _ScriptedStream(1.0 - (1.0 - 0.2) ** (lengths + 0.5), rest=top)
         terms, _ = alpha_walk_batch(pg.star(n), np.zeros(2, dtype=np.int64), 0.2, rng)
         assert terms.tolist() == [n - 1, n - 1]
+
+
+def _reference_alpha_walk_batch(g, starts, alpha, rng):
+    """The walk kernel with one ``uniforms`` call per step and an int16 or
+    int64 sort key, frozen as the reference the shipped
+    ``alpha_walk_batch`` must match on every terminal, move and draw."""
+    offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
+    starts = np.asarray(starts, dtype=np.int64)
+    u = rng.uniforms(starts.shape[0])
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    np.divide(u, np.log1p(-alpha), out=u)
+    lengths = np.floor(u, out=u).astype(np.int64)
+    longest = int(lengths.max(initial=0))
+    key = np.negative(lengths, dtype=np.int16 if longest < 1 << 15 else np.int64)
+    order = np.argsort(key, kind="stable")
+    cur = starts[order]
+    moving = starts.shape[0] - np.cumsum(np.bincount(lengths, minlength=longest + 1))
+    for k in moving[:longest].tolist():
+        c = cur[:k]
+        j = (rng.uniforms(k) * degrees[c]).astype(np.int64)
+        j += offsets[c]
+        np.take(neighbors, j, out=c)
+    terminals = np.empty_like(cur)
+    terminals[order] = cur
+    return terminals, int(lengths.sum())
+
+
+_WALK_GRAPH = pg.power_law(300, 2.5, 11)
+_SHIPPED_BLOCK = sampling._BLOCK
+
+
+class TestAlphaWalkReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([1, 3, 64]),
+        st.integers(0, 500),
+        st.sampled_from([0.2, 0.05, 0.02, 0.6]),
+        st.booleans(),
+        st.integers(0, 2**32),
+    )
+    @example(1, 0, 0.2, False, 1)  # no walks: one empty uniforms call
+    @example(3, 0, 0.2, True, 1)  # no walks from a zero-stride start
+    # walks past 255 moves sort on the int64 key
+    @example(64, 500, 0.02, False, 9)  # longest 424
+    @example(64, 500, 1e-3, False, 2)
+    @example(3, 60, 1e-3, True, 3)
+    @example(1, 8, 1e-3, False, 4)
+    @example(_SHIPPED_BLOCK, _SHIPPED_BLOCK - 1, 0.2, False, 5)
+    @example(_SHIPPED_BLOCK, _SHIPPED_BLOCK, 0.2, True, 6)
+    @example(_SHIPPED_BLOCK, _SHIPPED_BLOCK + 1, 0.2, False, 7)
+    @example(_SHIPPED_BLOCK, 3 * _SHIPPED_BLOCK + 5, 0.2, False, 8)
+    def test_bit_identical_to_reference(self, block, walks, alpha, zero_stride, seed):
+        g = _WALK_GRAPH
+        if zero_stride:
+            starts = np.broadcast_to(np.int64(seed % g.node_count), walks)
+        else:
+            starts = np.random.default_rng(seed).integers(0, g.node_count, walks)
+        want_rng, got_rng = _RecordingStream(seed, 3), _RecordingStream(seed, 3)
+        want_terms, want_moves = _reference_alpha_walk_batch(g, starts, alpha, want_rng)
+        with patch.object(sampling, "_BLOCK", block):
+            got_terms, got_moves = alpha_walk_batch(g, starts, alpha, got_rng)
+        assert got_terms.dtype == want_terms.dtype
+        assert got_terms.tolist() == want_terms.tolist()
+        assert got_moves == want_moves
+        assert got_rng.draws == want_rng.draws
+        # the lengths in one call, then each step's prefix in blocks
+        first, *steps = want_rng.calls
+        blocks = [min(block, k - lo) for k in steps for lo in range(0, k, block)]
+        assert got_rng.calls == [first, *blocks]
+
+
+class TestAlphaWalkMemory:
+    """numpy reports its array buffers to tracemalloc, so a traced peak
+    counts the bytes a walk batch holds at once: three int64 arrays per
+    walk in the kernel, plus block-sized temporaries."""
+
+    WALKS = 1 << 18
+
+    @pytest.mark.parametrize(
+        "method, per_walk",
+        [("kernel", 24), ("reverse_mc", 24), ("forward_mc", 32)],
+    )
+    def test_peak_bytes_per_walk(self, method, per_walk):
+        g, walks = _WALK_GRAPH, self.WALKS
+        cfg = EstimatorConfig()
+        starts = np.arange(walks, dtype=np.int64) % g.node_count
+        runs = {
+            "kernel": lambda: alpha_walk_batch(g, starts, cfg.alpha, RngStream(1)),
+            "reverse_mc": lambda: reverse_mc(g, 0, cfg, RngStream(1), walks=walks),
+            "forward_mc": lambda: forward_mc(g, 0, cfg, RngStream(1), walks=walks),
+        }
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            runs[method]()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= per_walk * walks + 64 * sampling._BLOCK, peak / walks
 
 
 class TestMedianOfMeans:
