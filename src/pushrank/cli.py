@@ -23,6 +23,7 @@ import click
 from .bench import (
     ExperimentSpec,
     TargetPolicy,
+    _extra_fields,
     load_graph_source,
     run_experiment,
     summarize,
@@ -92,16 +93,13 @@ def query(graph, genspec, target, method, alpha, c, pf, seed, theta, walks, reps
     """Estimate one node's PageRank."""
     g = _load(graph, genspec)
     node = g.from_original(target)
-    cfg = EstimatorConfig(alpha=alpha, c=c, failure_prob=pf, threshold_override=theta)
+    cfg = EstimatorConfig(alpha=alpha, c=c, failure_prob=pf)
     rng = RngStream(seed, 0)
     fn = ESTIMATORS[method]
-    extras = {}
-    if walks is not None:
-        if method not in ("reverse-mc", "forward-mc"):
-            raise ValidationError("--walks applies only to the MC methods")
-        extras["walks"] = walks
-    if theta is not None and method != "setpush":
-        raise ValidationError("--theta applies only to setpush")
+    extras = {k: v for k, v in (("theta", theta), ("walks", walks)) if v is not None}
+    for key in extras:
+        if key not in _extra_fields(method):
+            raise ValidationError(f"--{key} does not apply to {method}")
 
     if reps is not None:
         if groups is None:

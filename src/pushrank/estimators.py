@@ -52,7 +52,9 @@ __all__ = [
 @dataclass
 class EstimatorConfig:
     """Shared knobs: teleport probability, relative error target,
-    failure probability, and an override for the derived push threshold.
+    failure probability and the push threshold's cost constant.  An
+    estimator's own derived parameter (``theta``, ``walks`` or ``epsilon``)
+    is no field: it is overridden through that estimator's keyword.
 
     ``cost_constant`` scales the derived push threshold downward; the
     default 4 follows the Chebyshev derivation that carries an explicit
@@ -65,32 +67,14 @@ class EstimatorConfig:
     alpha: float = 0.2
     c: float = 0.1
     failure_prob: float = 0.1
-    threshold_override: float | None = None
     cost_constant: float = 4.0
 
     def __post_init__(self):
-        # a spec's configs reach here unchecked: a str or a list would end
-        # in a TypeError below, and a bool is an int to Python
-        for name in ("alpha", "c", "failure_prob", "cost_constant", "threshold_override"):
-            value = getattr(self, name)
-            if value is not None and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ConfigError(f"{name} must be a real number, got {value!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError(f"alpha must be in (0,1), got {self.alpha}")
-        # written so that nan fails too: a nan or infinite threshold would
-        # hand the skip sampler a probability outside (0, 1)
-        if not 0.0 < self.c < math.inf:
-            raise ConfigError(f"relative error c must be finite and > 0, got {self.c}")
-        if not 0.0 < self.failure_prob < 1.0:
-            raise ConfigError(f"failure_prob must be in (0,1), got {self.failure_prob}")
-        if not 0.0 < self.cost_constant < math.inf:
-            raise ConfigError(f"cost_constant must be finite and > 0, got {self.cost_constant}")
-        if self.threshold_override is not None and not 0.0 < self.threshold_override < math.inf:
-            raise ConfigError(
-                f"threshold_override must be finite and > 0, got {self.threshold_override}"
-            )
+        # a spec's configs reach here unchecked
+        _check_real("alpha", self.alpha, 1.0)
+        _check_real("c", self.c)
+        _check_real("failure_prob", self.failure_prob, 1.0)
+        _check_real("cost_constant", self.cost_constant)
 
     def levels(self, n: int) -> int:
         """Hop cutoff for the truncated score this config targets."""
@@ -103,7 +87,9 @@ class Estimate:
 
     ``derived`` holds the parameters the estimator derived and used:
     ``theta`` for setpush, ``walks`` for the Monte-Carlo methods,
-    ``epsilon`` for local_push.
+    ``epsilon`` for local_push.  Each key is also the keyword that
+    overrides it, so ``fn(g, t, cfg, rng, **est.derived)`` replays the
+    estimate on an equal stream.
     """
 
     value: float
@@ -115,10 +101,9 @@ class Estimate:
 
 
 def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
-    """The push threshold ``setpush`` runs with: ``cfg.threshold_override``
-    when it is set, and otherwise the derived default.
+    """The push threshold ``setpush`` derives when it is given no ``theta``.
 
-    The default is (alpha * c^2 * failure_prob / (cost_constant * levels))
+    It is (alpha * c^2 * failure_prob / (cost_constant * levels))
     scaled by max{1/d_t, sqrt(2(1-alpha)/m)}: the first branch caps
     expected work near the target's degree, the second near sqrt(m).
     Larger c or failure probability relax the threshold and cut pushes.
@@ -126,8 +111,6 @@ def compute_threshold(g: Graph, t: int, cfg: EstimatorConfig) -> float:
     a ConfigError: an infinite threshold leaves every sampled neighbor
     probability 0.
     """
-    if cfg.threshold_override is not None:
-        return cfg.threshold_override
     levels = cfg.levels(g.node_count)
     d_t = g.degree(t)
     m = g.edge_count
@@ -190,7 +173,7 @@ def _setpush_levels(
     one ``_accumulate`` call sums them.  The branches are split once, into
     index arrays, and every step is one numpy call on a frontier- or
     push-sized array, so a level's fixed cost is a few dozen such calls
-    (about 44 on ``ring:10^6``, against about 106 before this layout).
+    (about 44 on ``ring:10^6``).
     """
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
@@ -229,7 +212,9 @@ def _setpush_levels(
         yield nodes, vals, deg_nz, slots.size
 
 
-def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
+def setpush(
+    g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream, theta: float | None = None
+) -> Estimate:
     """Randomized backward set-push estimate of node t's PageRank.
 
     Starts with unit residue at the target and, for each hop level, either
@@ -257,12 +242,13 @@ def setpush(g: Graph, t: int, cfg: EstimatorConfig, rng: RngStream) -> Estimate:
 
     A small level still pays a fixed cost in numpy calls, each about a
     microsecond whatever its array's size.  On ``ring:10^6`` (~25 pushes
-    a level) a level makes about 44 Python-level calls, sampler included,
-    where the earlier loop made about 106, and takes about 0.7 of the
-    time.
+    a level) a level makes about 44 Python-level calls, sampler included.
+
+    The push threshold is ``theta`` when it is given, and otherwise
+    ``compute_threshold``'s; ``derived`` records the one used.
     """
     g._check_node(t)
-    threshold = compute_threshold(g, t, cfg)
+    threshold = _check_real("theta", compute_threshold(g, t, cfg) if theta is None else theta)
     start_draws = rng.draws
     t0 = time.perf_counter_ns()
     # the degree-weighted settled mass, sum over levels of alpha * residue / d
@@ -297,6 +283,19 @@ def _default_walks(cfg: EstimatorConfig, scale: float, factor: float = 1.0) -> i
     if not walks < math.inf:
         raise ConfigError(f"c = {cfg.c} makes the default walk count infinite")
     return math.ceil(walks)
+
+
+def _check_real(name: str, value, high: float = math.inf) -> float:
+    # a bool is a Real to Python and a str would fail later, as a TypeError;
+    # the range test fails nan too: a nan theta would hand the skip sampler
+    # a probability outside (0, 1), and a nan epsilon would settle nothing.
+    # The float keeps a Fraction from making numpy object arrays
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 < value < high:
+        bound = "finite and > 0" if high == math.inf else f"in (0,{high:g})"
+        raise ConfigError(f"{name} must be {bound}, got {value!r}")
+    return float(value)
 
 
 def _check_int(name: str, value, low: int) -> None:
@@ -439,10 +438,7 @@ def local_push(
     """
     g._check_node(t)
     n = g.node_count
-    eps = epsilon if epsilon is not None else cfg.c * cfg.alpha / n
-    # written so that nan fails too: a nan epsilon would settle nothing
-    if isinstance(eps, bool) or not isinstance(eps, (int, float)) or not 0.0 < eps < math.inf:
-        raise ConfigError(f"epsilon must be finite and > 0, got {eps!r}")
+    eps = _check_real("epsilon", cfg.c * cfg.alpha / n if epsilon is None else epsilon)
     t0 = time.perf_counter_ns()
     pushes = 0
     for _, reserve, round_pushes in _local_push_rounds(g, t, cfg.alpha, eps):

@@ -84,14 +84,14 @@ def test_criterion_02_truncation_bound():
 
 def test_criterion_03_deterministic_regime():
     t0 = time.time()
-    cfg = EstimatorConfig(threshold_override=1e-18)
+    cfg = EstimatorConfig()
     ok = True
     worst = 0.0
     graphs = [(n, g) for n, g in suite_graphs() if g.node_count <= 64]
     for name, g in graphs:
         truncated = oracle.build_tables(g, A, 0.1).truncated
         for t in range(g.node_count):
-            est = setpush(g, t, cfg, RngStream(31, t))
+            est = setpush(g, t, cfg, RngStream(31, t), theta=1e-18)
             worst = max(worst, abs(est.value - truncated[t]))
             ok &= est.rng_draws == 0 and abs(est.value - truncated[t]) <= 1e-10
     _report(3, "tiny-threshold run equals truncated oracle", ok,

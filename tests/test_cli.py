@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -85,7 +88,7 @@ class TestQuery:
                    "--theta", theta],
         )
         assert res.exit_code == 1, res.output
-        assert res.output.startswith("error: threshold_override")
+        assert res.output.startswith("error: theta")
 
     @pytest.mark.parametrize("method", ["reverse-mc", "forward-mc"])
     @pytest.mark.parametrize("c", ["1e-300", "1e-160"])  # c^2 underflows; the count overflows
@@ -115,12 +118,22 @@ class TestQuery:
         assert res.exit_code == 1, res.output
         assert res.output.startswith("error: out of memory")
 
-    def test_theta_on_wrong_method(self, runner):
+    @pytest.mark.parametrize("method", ["setpush", "reverse-mc", "forward-mc", "local-push"])
+    @pytest.mark.parametrize("flag, value, methods", [
+        ("theta", "0.05", {"setpush"}),
+        ("walks", "100", {"reverse-mc", "forward-mc"}),
+    ], ids=["theta", "walks"])
+    def test_override_flag_per_method(self, runner, flag, value, methods, method):
         res = runner.invoke(
-            main, ["query", "--gen", "k2", "--target", "0", "--method", "local-push",
-                   "--theta", "0.1"],
+            main, ["query", "--gen", "k2", "--target", "0", "--method", method,
+                   f"--{flag}", value, "--json"],
         )
-        assert res.exit_code == 1
+        if method in methods:
+            assert res.exit_code == 0, res.output
+            assert json.loads(res.output)["derived"][flag] == float(value)
+        else:
+            assert res.exit_code == 1, res.output
+            assert res.output == f"error: --{flag} does not apply to {method}\n"
 
 
 class TestOracleCmd:
@@ -253,14 +266,15 @@ class TestBenchCmd:
         ("local-push", '{"epsilon": NaN}', "epsilon must be finite and > 0, got nan"),
         ("setpush", '{"alpha": "x"}', "alpha must be a real number, got 'x'"),
         ("setpush", '{"levels_override": 2.5}', "unknown config keys ['levels_override'] for setpush"),
-        ("setpush", '{"threshold_override": "0.1"}',
-         "threshold_override must be a real number, got '0.1'"),
+        ("setpush", '{"theta": "0.1"}', "theta must be a real number, got '0.1'"),
+        ("setpush", '{"threshold_override": 0.1}',
+         "unknown config keys ['threshold_override'] for setpush"),
         ("setpush", '{"cost_constant": [1]}', "cost_constant must be a real number, got [1]"),
         ("setpush", '{"walks": 10}', "unknown config keys ['walks'] for setpush"),
         ("reverse-mc", '{"epsilon": 0.1}', "unknown config keys ['epsilon'] for reverse-mc"),
         ("setpush", '{"c": 1e200}', "c = 1e+200 makes the push threshold inf"),
     ], ids=["float-walks", "nan-epsilon", "str-alpha", "float-levels", "str-threshold",
-            "list-cost-constant", "walks-on-setpush", "epsilon-on-reverse-mc", "huge-c"])
+            "threshold-override-key", "list-cost-constant", "walks-on-setpush", "epsilon-on-reverse-mc", "huge-c"])
     def test_bad_spec_extras(self, runner, tmp_path, estimator, extras, message):
         # Python's json reads NaN, so a spec can carry it to the estimator
         path = tmp_path / "spec.json"
@@ -319,3 +333,29 @@ class TestGenValidate:
 def test_import_leaves_scipy_unloaded():
     code = "import pushrank.cli, sys; assert 'scipy' not in sys.modules"
     subprocess.run([sys.executable, "-c", code], check=True, timeout=120)
+
+
+def _readme_cli_commands():
+    """The ``pushrank`` commands of the fenced bash block under README's
+    ``## CLI``, continuation lines joined, each as its argument list."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line)[1:]
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("pushrank ")
+    ]
+
+
+def test_readme_cli_examples_run(runner, tmp_path, monkeypatch):
+    # relative --out/--out-dir paths land in tmp_path; the block's
+    # graph.txt is the er.txt its gen line writes, so that line runs first
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    commands.sort(key=lambda args: args[0] != "gen")
+    assert len(commands) == 7 and commands[0][-1] == "er.txt"
+    for args in commands:
+        args = ["er.txt" if arg == "graph.txt" else arg for arg in args]
+        res = runner.invoke(main, args)
+        assert res.exit_code == 0, (args, res.output)

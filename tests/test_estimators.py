@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,10 +32,10 @@ from conftest import FP_DUST, clt_band, suite_graphs
 A = 0.2
 
 
-def setpush_level_entries(g, t, cfg, rng):
+def setpush_level_entries(g, t, cfg, rng, theta=None):
     """Every level ``_setpush_levels`` yields for a setpush query, as
     (pushes made, {node: residue})."""
-    threshold = compute_threshold(g, t, cfg)
+    threshold = compute_threshold(g, t, cfg) if theta is None else theta
     return [
         (pushes, dict(zip(nodes.tolist(), vals.tolist())))
         for nodes, vals, _, pushes in _setpush_levels(g, t, cfg, threshold, rng)
@@ -50,11 +51,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EstimatorConfig(failure_prob=0.0)
         with pytest.raises(ConfigError):
-            EstimatorConfig(threshold_override=-1.0)
-        with pytest.raises(ConfigError):
             EstimatorConfig(cost_constant=0.0)
         for bad in (math.nan, math.inf):
-            for field in ("c", "cost_constant", "threshold_override"):
+            for field in ("c", "cost_constant"):
                 with pytest.raises(ConfigError):
                     EstimatorConfig(**{field: bad})
 
@@ -80,8 +79,8 @@ class TestComputeThreshold:
         assert t2 == pytest.approx(4 * t1)
 
     def test_override_wins(self):
-        cfg = EstimatorConfig(threshold_override=0.03)
-        assert compute_threshold(pg.complete(8), 0, cfg) == 0.03
+        est = setpush(pg.complete(8), 0, EstimatorConfig(), RngStream(0), theta=0.03)
+        assert est.derived == {"theta": 0.03}
 
     @pytest.mark.parametrize("c", [1e-300, 1e155])  # c*c is 0, then infinite
     def test_c_out_of_float_range(self, c):
@@ -106,14 +105,14 @@ class TestComputeThreshold:
 
 class TestSetpushDeterministicRegime:
     def test_equals_truncated_with_zero_draws(self, suite):
-        cfg = EstimatorConfig(threshold_override=1e-18)
+        cfg = EstimatorConfig()
         for name, g in suite:
             if g.node_count > 64:
                 continue
             tables = oracle.build_tables(g, A, 0.1)
             for t in range(0, g.node_count, max(1, g.node_count // 9)):
                 rng = RngStream(11, t)
-                est = setpush(g, t, cfg, rng)
+                est = setpush(g, t, cfg, rng, theta=1e-18)
                 assert est.rng_draws == 0, name
                 assert est.value == pytest.approx(tables.truncated[t], abs=1e-10), name
 
@@ -121,8 +120,11 @@ class TestSetpushDeterministicRegime:
         # all-deterministic residues equal the per-hop mass over alpha
         g = pg.path(3)
         tables = oracle.build_tables(g, A, 0.1)
-        cfg = EstimatorConfig(threshold_override=1e-18)
-        seen = [entries for _, entries in setpush_level_entries(g, 0, cfg, RngStream(1))]
+        cfg = EstimatorConfig()
+        seen = [
+            entries
+            for _, entries in setpush_level_entries(g, 0, cfg, RngStream(1), theta=1e-18)
+        ]
         assert seen[0] == {0: 1.0}
         for lvl in range(min(6, len(seen))):
             for v, r in seen[lvl].items():
@@ -130,7 +132,7 @@ class TestSetpushDeterministicRegime:
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ConfigError):
-            setpush(pg.complete(2), 0, EstimatorConfig(threshold_override=-1e-9), RngStream(0))
+            setpush(pg.complete(2), 0, EstimatorConfig(), RngStream(0), theta=-1e-9)
 
     def test_out_of_range_target(self):
         with pytest.raises(IndexError):
@@ -138,7 +140,7 @@ class TestSetpushDeterministicRegime:
 
 
 class TestSetpushStochastic:
-    """Randomized-branch contracts, exercised with a threshold override
+    """Randomized-branch contracts, exercised with a ``theta``
     large enough that sampling actually happens on desk-size graphs."""
 
     RUNS = 10_000
@@ -146,7 +148,7 @@ class TestSetpushStochastic:
     def test_residue_unbiasedness_per_level(self):
         # mean residue at (level, node) ~= per-hop mass / alpha (CLT band)
         g = pg.complete(2)
-        cfg = EstimatorConfig(threshold_override=0.05)
+        cfg = EstimatorConfig()
         tables = oracle.build_tables(g, A, 0.1)
         levels = cfg.levels(2)
         sums = np.zeros((levels + 1, 2))
@@ -168,12 +170,12 @@ class TestSetpushStochastic:
     def test_estimator_unbiasedness_and_variance_bound(self):
         g = pg.star(9)
         t = 0
-        cfg = EstimatorConfig(threshold_override=0.02)
+        cfg = EstimatorConfig()
         tables = oracle.build_tables(g, A, 0.1)
         vals = np.array(
-            [setpush(g, t, cfg, RngStream(500, i)).value for i in range(self.RUNS)]
+            [setpush(g, t, cfg, RngStream(500, i), theta=0.02).value for i in range(self.RUNS)]
         )
-        assert vals.std() > 0, "override must put runs in the sampling regime"
+        assert vals.std() > 0, "theta must put runs in the sampling regime"
         band = clt_band(vals.std(ddof=1), self.RUNS)
         assert abs(vals.mean() - tables.truncated[t]) < band
         levels = cfg.levels(9)
@@ -182,9 +184,9 @@ class TestSetpushStochastic:
 
     def test_cost_bound(self):
         g = pg.star(9)
-        cfg = EstimatorConfig(threshold_override=0.02)
+        cfg = EstimatorConfig()
         pushes = np.mean(
-            [setpush(g, 0, cfg, RngStream(600, i)).pushes for i in range(2000)]
+            [setpush(g, 0, cfg, RngStream(600, i), theta=0.02).pushes for i in range(2000)]
         )
         assert pushes <= 1.1 / (A * 0.02)
 
@@ -225,7 +227,7 @@ class TestSetpushStochastic:
         assert (a.value, a.pushes, a.rng_draws) == (b.value, b.pushes, b.rng_draws)
 
 
-def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
+def _reference_setpush(g, t, cfg, rng, theta=None, residues=None, bincount_switch=True):
     """The setpush with dense per-level arrays and a bincount switch for
     levels with many sampled hits, kept as the reference the shipped
     setpush (frontier-sized arrays) is compared against.  It draws through
@@ -237,14 +239,11 @@ def _reference_setpush(g, t, cfg, rng, residues=None, bincount_switch=True):
     ``threshold`` once per hit, layer by layer; ``bincount_switch=False``
     adds the hits one at a time with ``np.add.at``.  Both give setpush's
     residues to the bit.  One ``threshold * hits`` product would not: it
-    moves last bits, and a residue that ties prob == 1 then flips branch."""
+    moves last bits, and a residue that ties prob == 1 then flips branch.
+    ``theta`` overrides the derived threshold, as setpush's does."""
     n = g.node_count
     offsets, neighbors, degrees = g.offsets, g.neighbors, g.degrees
-    threshold = (
-        cfg.threshold_override
-        if cfg.threshold_override is not None
-        else compute_threshold(g, t, cfg)
-    )
+    threshold = theta if theta is not None else compute_threshold(g, t, cfg)
     alpha = cfg.alpha
     start_draws = rng.draws
     residue = np.zeros(n)
@@ -305,9 +304,9 @@ class TestSetpushDifferential:
     def test_matches_reference(self, named, where, theta, seed):
         _, g = named
         t = int(where * g.node_count)
-        cfg = EstimatorConfig(threshold_override=theta)
-        est = setpush(g, t, cfg, RngStream(seed, t))
-        value, pushes, draws = _reference_setpush(g, t, cfg, RngStream(seed, t))
+        cfg = EstimatorConfig()
+        est = setpush(g, t, cfg, RngStream(seed, t), theta=theta)
+        value, pushes, draws = _reference_setpush(g, t, cfg, RngStream(seed, t), theta=theta)
         assert (est.pushes, est.rng_draws) == (pushes, draws)
         assert est.value == pytest.approx(value, rel=1e-12, abs=0.0)
 
@@ -322,12 +321,12 @@ class TestSetpushDifferential:
     )
     def test_sparse_frontier_bit_identical(self, g, where, theta, seed):
         t = int(where * g.node_count)
-        cfg = EstimatorConfig(threshold_override=theta)
-        est = setpush(g, t, cfg, RngStream(seed, t))
-        levels = setpush_level_entries(g, t, cfg, RngStream(seed, t))
+        cfg = EstimatorConfig()
+        est = setpush(g, t, cfg, RngStream(seed, t), theta=theta)
+        levels = setpush_level_entries(g, t, cfg, RngStream(seed, t), theta=theta)
         dense = []
         value, pushes, draws = _reference_setpush(
-            g, t, cfg, RngStream(seed, t), residues=dense, bincount_switch=False
+            g, t, cfg, RngStream(seed, t), theta=theta, residues=dense, bincount_switch=False
         )
         assert (est.pushes, est.rng_draws, est.value) == (pushes, draws, value)
         assert len(levels) == len(dense) + 1
@@ -521,10 +520,10 @@ class TestLocalPush:
 class TestAmplified:
     def test_single_repetition_matches_inner(self):
         g = pg.star(9)
-        cfg = EstimatorConfig(threshold_override=0.02)
+        cfg = EstimatorConfig()
         base = RngStream(123, 7)
-        one = amplified(setpush, g, 0, cfg, base, repetitions=1, groups=1)
-        direct = setpush(g, 0, cfg, RngStream(123, 7).substream(0))
+        one = amplified(setpush, g, 0, cfg, base, repetitions=1, groups=1, theta=0.02)
+        direct = setpush(g, 0, cfg, RngStream(123, 7).substream(0), theta=0.02)
         assert one.value == direct.value
 
     def test_deterministic_inner_invariant(self):
@@ -536,11 +535,11 @@ class TestAmplified:
 
     def test_counters_summed(self):
         g = pg.complete(8)
-        cfg = EstimatorConfig(threshold_override=0.02)
-        est = amplified(setpush, g, 0, cfg, RngStream(5), repetitions=4, groups=2)
+        cfg = EstimatorConfig()
+        est = amplified(setpush, g, 0, cfg, RngStream(5), repetitions=4, groups=2, theta=0.02)
         assert est.pushes > 0
         singles = [
-            setpush(g, 0, cfg, RngStream(5).substream(i)).pushes for i in range(4)
+            setpush(g, 0, cfg, RngStream(5).substream(i), theta=0.02).pushes for i in range(4)
         ]
         assert est.pushes == sum(singles)
 
@@ -548,14 +547,16 @@ class TestAmplified:
         # paired comparison: amplified runs must fail the relative-error
         # event strictly less often than single runs at a noisy threshold
         g = pg.star(17)
-        cfg = EstimatorConfig(threshold_override=0.03)
+        cfg = EstimatorConfig()
         pi = oracle.pagerank(g, A)
         single_fail = amp_fail = 0
         runs = 200
         for i in range(runs):
-            s = setpush(g, 0, cfg, RngStream(50, i))
+            s = setpush(g, 0, cfg, RngStream(50, i), theta=0.03)
             single_fail += abs(s.value - pi[0]) > cfg.c * pi[0]
-            a = amplified(setpush, g, 0, cfg, RngStream(51, i), repetitions=30, groups=5)
+            a = amplified(
+                setpush, g, 0, cfg, RngStream(51, i), repetitions=30, groups=5, theta=0.03
+            )
             amp_fail += abs(a.value - pi[0]) > cfg.c * pi[0]
         assert single_fail > 0
         assert amp_fail < single_fail
@@ -563,6 +564,66 @@ class TestAmplified:
     def test_validation(self):
         with pytest.raises(ValidationError):
             amplified(local_push, pg.complete(2), 0, EstimatorConfig(), RngStream(0), 2, 3)
+
+
+def _estimate_with(param, value):
+    """A query on complete:4 that takes ``value`` as its real-valued input
+    ``param``, the way a caller passes it."""
+    g = pg.complete(4)
+    if param == "theta":
+        return setpush(g, 0, EstimatorConfig(), RngStream(3), theta=value)
+    if param == "epsilon":
+        return local_push(g, 0, EstimatorConfig(), epsilon=value)
+    return setpush(g, 0, EstimatorConfig(**{param: value}), RngStream(3))
+
+
+_REAL_INPUTS = ["c", "cost_constant", "theta", "epsilon"]
+
+
+class TestRealInputs:
+    @pytest.mark.parametrize("param", _REAL_INPUTS)
+    @pytest.mark.parametrize(
+        "value", [np.float32(0.25), np.float64(0.25), 1, Fraction(1, 4)],
+        ids=["float32", "float64", "int", "Fraction"],
+    )
+    def test_accepted(self, param, value):
+        est = _estimate_with(param, value)
+        assert 0.0 < est.value < math.inf
+
+    @pytest.mark.parametrize("param", _REAL_INPUTS)
+    @pytest.mark.parametrize(
+        "value", [True, "0.1", [1], math.nan, math.inf, 0, -0.5],
+        ids=["bool", "str", "list", "nan", "inf", "zero", "negative"],
+    )
+    def test_rejected_naming_the_parameter(self, param, value):
+        with pytest.raises(ConfigError, match=rf"^{param} must be "):
+            _estimate_with(param, value)
+
+
+class TestDerivedReplays:
+    """``Estimate.derived`` names each estimator's override keyword, so
+    passing it back reproduces the estimate on an equal stream."""
+
+    CFG = EstimatorConfig(c=0.5)  # keeps forward-mc's default walk count small
+
+    @staticmethod
+    def _fields(est):
+        return est.value, est.pushes, est.walk_steps, est.rng_draws, est.derived
+
+    @pytest.mark.parametrize("name", sorted(ESTIMATORS))
+    def test_replay(self, suite, name):
+        fn = ESTIMATORS[name]
+        for graph_name, g in suite:
+            for t in (0, g.node_count // 2, g.node_count - 1):
+                for seed in (5, 6):
+                    est = fn(g, t, self.CFG, RngStream(seed, t))
+                    again = fn(g, t, self.CFG, RngStream(seed, t), **est.derived)
+                    assert self._fields(again) == self._fields(est), (graph_name, t, seed)
+                    amp = amplified(fn, g, t, self.CFG, RngStream(seed, t), 3, 2)
+                    amp_again = amplified(
+                        fn, g, t, self.CFG, RngStream(seed, t), 3, 2, **amp.derived
+                    )
+                    assert self._fields(amp_again) == self._fields(amp), (graph_name, t, seed)
 
 
 class TestRegistry:

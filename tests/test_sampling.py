@@ -154,7 +154,7 @@ class TestGeometricSkip:
         # skip_sample refuses p = 1 (test_contract_violations); setpush's
         # deterministic branch owns it.  Here the per-neighbor probability
         # is exactly 1: share (1-a)*1 = 0.5 over threshold 0.125 * degree 4.
-        cfg = EstimatorConfig(alpha=0.5, threshold_override=0.125)
+        cfg = EstimatorConfig(alpha=0.5)
         rng = RngStream(1)
         levels = _setpush_levels(pg.complete(5), 0, cfg, 0.125, rng)
         (_, _, _, level_0_pushes), (nodes, vals, _, level_1_pushes) = islice(levels, 2)
